@@ -481,7 +481,9 @@ let shard_scaling ~smoke () =
         let base_s =
           let ch = Packet.Traffic.churn_gen ~concurrent ~seed:2016 () in
           let eng = Nfactor_runtime.Engine.create plan ~store in
-          Nfactor_runtime.Engine.replay_churn eng ~churn:ch ~n
+          Packet.Traffic.time_batches
+            ~next:(fun () -> Packet.Traffic.churn_next ch)
+            ~n (Nfactor_runtime.Engine.run_batch eng)
         in
         let base_mpps = if base_s > 0. then float_of_int n /. base_s /. 1e6 else 0. in
         Fmt.pr "%-12s %7d | %12.2f %8.2f | %8s %9s | exact: %s@." name 1 (base_s *. 1e3)
@@ -497,7 +499,11 @@ let shard_scaling ~smoke () =
                 Fun.protect
                   ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
                   (fun () ->
-                    let s = Nfactor_runtime.Shard.replay_churn sh ~churn:ch ~n in
+                    let s =
+                      Packet.Traffic.time_batches
+                        ~next:(fun () -> Packet.Traffic.churn_next ch)
+                        ~n (Nfactor_runtime.Shard.run_batch sh)
+                    in
                     let speedup = if s > 0. then base_s /. s else 0. in
                     let deferred_pct =
                       100.

@@ -264,6 +264,34 @@ let testgen_cmd =
   Cmd.v (Cmd.info "testgen" ~doc:"Generate model-covering test packets (BUZZ-style).")
     Term.(const run $ cache_dir_arg $ nf_arg)
 
+(* One packet source per traffic command, shared by the timed run and
+   by --check: seeded uniform random packets, or the churn workload
+   under --churn. Each call restarts the stream from [seed]. *)
+let packet_source ~churn ~seed =
+  match churn with
+  | Some concurrent ->
+      let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
+      fun () -> Packet.Traffic.churn_next ch
+  | None ->
+      let rng = Packet.Rng.create seed in
+      fun () -> Packet.Traffic.random_pkt rng Packet.Traffic.default_profile
+
+let packet_stream ~churn ~seed ~n =
+  let next = packet_source ~churn ~seed in
+  Array.init n (fun _ -> next ())
+
+(* Argument checks shared by [run] and [chain run]. *)
+let check_traffic_args ~shards ~churn ~capacity =
+  let reject msg =
+    Fmt.epr "error: %s@." msg;
+    exit 1
+  in
+  if shards < 1 then reject "--shards must be >= 1";
+  (match churn with Some c when c < 1 -> reject "--churn must be >= 1" | _ -> ());
+  match capacity with
+  | Some c when c < 1 -> reject "--capacity must be >= 1"
+  | _ -> ()
+
 let run_cmd =
   let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Packets to replay.") in
   let seed = Arg.(value & opt int 2016 & info [ "seed" ] ~doc:"Traffic seed.") in
@@ -283,34 +311,20 @@ let run_cmd =
   let run n seed capacity json check shards churn cache_dir arg =
     with_nf
       (fun name _ p ->
-        if shards < 1 then begin
-          Fmt.epr "error: --shards must be >= 1@.";
-          exit 1
-        end;
+        check_traffic_args ~shards ~churn ~capacity;
         let m = manager ?cache_dir () in
         let ex = Pipeline.Manager.extract m ~name p in
         let model = ex.Nfactor.Extract.model in
         let store = Nfactor.Model_interp.initial_store ex in
         let plan = Pipeline.Manager.plan m ex in
         let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-        (* The same stream for the timed run and for --check: random by
-           default, churn when asked. *)
-        let stream () =
-          match churn with
-          | Some concurrent ->
-              let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-              Array.init n (fun _ -> Packet.Traffic.churn_next ch)
-          | None -> Array.of_list (Packet.Traffic.random_stream ~seed ~n ())
+        let time consume =
+          Packet.Traffic.time_batches ~next:(packet_source ~churn ~seed) ~n consume
         in
+        let stream () = packet_stream ~churn ~seed ~n in
         if shards = 1 then begin
           let eng = Nfactor_runtime.Engine.create ?capacity plan ~store in
-          let secs =
-            match churn with
-            | Some concurrent ->
-                let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-                Nfactor_runtime.Engine.replay_churn eng ~churn:ch ~n
-            | None -> Nfactor_runtime.Engine.replay eng ~seed ~n
-          in
+          let secs = time (Nfactor_runtime.Engine.run_batch eng) in
           if json then print_endline (Nfactor_runtime.Engine.stats_json eng)
           else begin
             Fmt.pr "plan: %a@." Nfactor_runtime.Compile.pp_plan plan;
@@ -354,13 +368,7 @@ let run_cmd =
           Fun.protect
             ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
             (fun () ->
-              let secs =
-                match churn with
-                | Some concurrent ->
-                    let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-                    Nfactor_runtime.Shard.replay_churn sh ~churn:ch ~n
-                | None -> Nfactor_runtime.Shard.replay sh ~seed ~n
-              in
+              let secs = time (Nfactor_runtime.Shard.run_batch sh) in
               if json then print_endline (Nfactor_runtime.Shard.stats_json sh ~nf:name)
               else begin
                 Fmt.pr "sharding: %a@." Nfactor_runtime.Shardplan.pp
@@ -616,7 +624,7 @@ let chain_run_cmd =
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print chain counters as JSON.") in
   let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Differential check on the same traffic: the interpreter chain (Verify.Network.run) for a single engine, a single chain engine for a sharded run (outputs and per-hop final stores).")
+    Arg.(value & flag & info [ "check" ] ~doc:"Differential check on the same traffic: the interpreter chain (Verify.Network.run) for a single engine (outputs and per-hop final stores), a single chain engine for a sharded run (outputs, per-hop final stores and counters).")
   in
   let shards =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Run the chain across N shard domains, when the fused plan's shard spec allows it; 1 (default) runs the single-threaded chain engine.")
@@ -625,10 +633,7 @@ let chain_run_cmd =
     Arg.(value & opt (some int) None & info [ "churn" ] ~docv:"FLOWS" ~doc:"Replace uniform random traffic with the churn workload: FLOWS concurrent conversations with unbounded turnover.")
   in
   let run n seed capacity json check shards churn cache_dir spec =
-    if shards < 1 then begin
-      Fmt.epr "error: --shards must be >= 1@.";
-      exit 1
-    end;
+    check_traffic_args ~shards ~churn ~capacity;
     if check && capacity <> None then begin
       Fmt.epr "error: --check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)@.";
       exit 1
@@ -636,21 +641,12 @@ let chain_run_cmd =
     let nodes = chain_nodes ?cache_dir spec in
     let cp = Nfactor_runtime.Chainplan.link nodes in
     let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-    let stream () =
-      match churn with
-      | Some concurrent ->
-          let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-          Array.init n (fun _ -> Packet.Traffic.churn_next ch)
-      | None -> Array.of_list (Packet.Traffic.random_stream ~seed ~n ())
-    in
+    let stream () = packet_stream ~churn ~seed ~n in
     if shards = 1 then begin
       let eng = Nfactor_runtime.Chainengine.create ?capacity cp in
       let secs =
-        match churn with
-        | Some concurrent ->
-            let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-            Nfactor_runtime.Chainengine.replay_churn eng ~churn:ch ~n
-        | None -> Nfactor_runtime.Chainengine.replay eng ~seed ~n
+        Packet.Traffic.time_batches ~next:(packet_source ~churn ~seed) ~n
+          (Nfactor_runtime.Chainengine.run_batch eng)
       in
       if json then print_endline (Nfactor_runtime.Chainengine.stats_json eng)
       else begin
@@ -712,13 +708,22 @@ let chain_run_cmd =
                     (Nfactor_runtime.Chainengine.snapshot_hops eng)
                     (Nfactor_runtime.Chainengine.shard_snapshot_hops sh2)
                 in
-                if out_ok && store_ok then
-                  Fmt.pr "check: %d shards == single chain engine on %d packets (outputs and per-hop stores)@."
+                let stats_ok =
+                  Nfactor_runtime.Chainengine.hop_stats eng
+                  = Nfactor_runtime.Chainengine.shard_hop_stats sh2
+                  && eng.Nfactor_runtime.Chainengine.fused_walks
+                     = Nfactor_runtime.Chainengine.shard_fused_walks sh2
+                  && eng.Nfactor_runtime.Chainengine.injected
+                     = Nfactor_runtime.Chainengine.shard_injected sh2
+                in
+                if out_ok && store_ok && stats_ok then
+                  Fmt.pr "check: %d shards == single chain engine on %d packets (outputs, per-hop stores and counters)@."
                     shards n
                 else begin
-                  Fmt.epr "check FAILED: outputs %s, stores %s@."
+                  Fmt.epr "check FAILED: outputs %s, stores %s, counters %s@."
                     (if out_ok then "ok" else "DIFFER")
-                    (if store_ok then "ok" else "DIFFER");
+                    (if store_ok then "ok" else "DIFFER")
+                    (if stats_ok then "ok" else "DIFFER");
                   exit 1
                 end
           end

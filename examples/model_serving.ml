@@ -39,7 +39,9 @@ let () =
   section "4. Replay seeded traffic through the engine";
   let n = 20_000 in
   let eng = Engine.create plan ~store in
-  let secs = Engine.replay eng ~seed:2016 ~n in
+  let rng = Packet.Rng.create 2016 in
+  let next () = Packet.Traffic.random_pkt rng Packet.Traffic.default_profile in
+  let secs = Packet.Traffic.time_batches ~next ~n (Engine.run_batch eng) in
   Fmt.pr "%a@." Engine.pp_stats eng;
   Fmt.pr "%d packets in %.2f ms (%.2f Mpps)@." n (secs *. 1e3)
     (float_of_int n /. secs /. 1e6);
@@ -64,6 +66,6 @@ let () =
 
   section "6. Bounded flow tables (LRU eviction)";
   let eng3 = Engine.create ~capacity:64 plan ~store in
-  ignore (Engine.replay eng3 ~seed:2016 ~n);
+  ignore (Engine.run_batch eng3 (Array.of_list pkts));
   Fmt.pr "with 64-entry tables: %d eviction(s), table sizes bounded@."
     (Flowstate.evictions eng3.Engine.state)

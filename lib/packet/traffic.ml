@@ -173,10 +173,26 @@ let churn_next c =
   else c.pos.(i) <- k + 1;
   p
 
-let churn_fill c arr =
-  for j = 0 to Array.length arr - 1 do
-    arr.(j) <- churn_next c
-  done
-
 let churn_started c = c.ch_started
 let churn_concurrent c = Array.length c.pos
+
+(* ------------------------------------------------------------------ *)
+(* Timed driver                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Packets are drawn in bounded chunks outside the timer, so memory
+   stays flat and the clock charges [consume] and nothing else.
+   [Array.init] calls [next] in index order, so a random source keeps
+   [random_stream]'s RNG order. *)
+let time_batches ?(batch = 4096) ~next ~n consume =
+  let elapsed = ref 0.0 in
+  let remaining = ref n in
+  while !remaining > 0 do
+    let m = min !remaining batch in
+    let pkts = Array.init m (fun _ -> next ()) in
+    let t0 = Unix.gettimeofday () in
+    ignore (consume pkts);
+    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
+    remaining := !remaining - m
+  done;
+  !elapsed

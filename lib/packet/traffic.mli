@@ -52,11 +52,18 @@ val churn_gen :
 
 val churn_next : churn -> Pkt.t
 
-val churn_fill : churn -> Pkt.t array -> unit
-(** Fill [arr] in place with the next packets — batch generation
-    without list allocation. *)
-
 val churn_started : churn -> int
 (** Flows spawned so far, including the initial pool. *)
 
 val churn_concurrent : churn -> int
+
+(** {1 Timed driver} *)
+
+val time_batches :
+  ?batch:int -> next:(unit -> Pkt.t) -> n:int -> (Pkt.t array -> 'a) -> float
+(** Feed [n] packets from [next] to [consume] in arrays of at most
+    [batch] (default 4096); returns the wall-clock seconds spent in
+    [consume] only — drawing packets happens outside the timer. With
+    [next = fun () -> random_pkt rng profile] over [Rng.create seed]
+    the packets are exactly [random_stream ~seed ~n]; with
+    [next = fun () -> churn_next ch] the generator advances. *)

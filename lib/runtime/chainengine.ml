@@ -91,63 +91,8 @@ let step_trace t pkt =
 
 let run_batch t pkts = Array.map (step t) pkts
 
-(* Timed-loop step: intermediate hops must materialize outputs (the
-   next hop reads the rewritten fields), the last hop counts only. *)
-let step_timed t pkt =
-  t.injected <- t.injected + 1;
-  let n = Array.length t.engines in
-  let pending = ref [ (pkt, root_of t 0) ] in
-  for i = 0 to n - 2 do
-    pending := hop_once t i !pending
-  done;
-  let i = n - 1 in
-  let eng = t.engines.(i) in
-  let root = root_of t i in
-  List.iter
-    (fun (p, start) ->
-      if start != root then t.fused_walks <- t.fused_walks + 1
-      else if i > 0 then t.handoffs <- t.handoffs + 1;
-      Engine.step_count_at eng ~root:start p)
-    !pending
-
-let replay ?(profile = Packet.Traffic.default_profile) t ~seed ~n =
-  let rng = Packet.Rng.create seed in
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining 4096 in
-    let buf = ref [] in
-    for _ = 1 to m do
-      buf := Packet.Traffic.random_pkt rng profile :: !buf
-    done;
-    let pkts = Array.of_list (List.rev !buf) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_timed t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_timed t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
 (* Chain deliveries from the last hop's entry-hit counters: each fire
-   of entry [e] emits one packet per forward snapshot — valid for both
-   the allocating and the counting step paths. *)
+   of entry [e] emits one packet per forward snapshot. *)
 let delivered t =
   let n = Array.length t.engines in
   let h = t.cp.Chainplan.hops.(n - 1) in
@@ -278,7 +223,8 @@ let shard_replay sh ~pkts =
   let doms =
     Array.mapi
       (fun s stream ->
-        Domain.spawn (fun () -> Array.iter (step_timed sh.shards.(s)) stream))
+        Domain.spawn (fun () ->
+            Array.iter (fun p -> ignore (step sh.shards.(s) p)) stream))
       streams
   in
   Array.iter Domain.join doms;

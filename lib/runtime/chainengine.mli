@@ -49,19 +49,12 @@ type hoprec = {
 val step_trace : t -> Packet.Pkt.t -> Packet.Pkt.t list * hoprec list
 
 val run_batch : t -> Packet.Pkt.t array -> Packet.Pkt.t list array
-
-val replay :
-  ?profile:Packet.Traffic.profile -> t -> seed:int -> n:int -> float
-(** Seeded-traffic replay, timed stepping only (generation outside the
-    timed sections, allocation-free final hop) — comparable 1:1 with
-    timing {!Verify.Network.run} on the same stream. *)
-
-val replay_churn :
-  ?batch:int -> t -> churn:Packet.Traffic.churn -> n:int -> float
+(** {!step} over an array, in order. Timed runs pass it to
+    {!Packet.Traffic.time_batches}. *)
 
 val delivered : t -> int
 (** Packets that emerged from the last hop (derived from its entry-hit
-    counters, so replay's allocation-free path counts too). *)
+    counters). *)
 
 val snapshot_hops : t -> (string * Nfactor.Model_interp.store) list
 (** Per-hop final stores with original variable names, in chain order

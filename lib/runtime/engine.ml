@@ -170,19 +170,6 @@ let fire t pkt (ce : Compile.centry) =
   t.stats.entry_hits.(ce.Compile.eidx) <- t.stats.entry_hits.(ce.Compile.eidx) + 1;
   { outputs; fired = Some ce.Compile.eidx }
 
-(* Counted fire: identical state effect and counters, no output packet
-   construction. Emit value expressions still evaluate in order (same
-   reads, same exceptions); only the field {e setters} are skipped —
-   a setter's coercion error would escape [fire] but not here, which
-   no corpus model exhibits (documented in the interface). *)
-let fire_count t pkt (ce : Compile.centry) =
-  Array.iter
-    (fun snap -> List.iter (fun (_, f) -> ignore (f t.state pkt)) snap)
-    ce.Compile.emit;
-  resolve_updates t pkt ce;
-  commit_updates t ce;
-  t.stats.entry_hits.(ce.Compile.eidx) <- t.stats.entry_hits.(ce.Compile.eidx) + 1
-
 (* Map a discriminator value to its class index. *)
 let seg_index cuts n =
   (* 2 * (#cuts < n), plus 1 when n is itself a cut *)
@@ -298,18 +285,6 @@ let step_at t ~root pkt =
 
 let step t pkt = step_at t ~root:t.plan.Compile.root pkt
 
-let step_count_at t ~root pkt =
-  begin_walk t;
-  match descend t pkt root with
-  | Some ce ->
-      attribute t ce;
-      fire_count t pkt ce
-  | None -> count_miss t
-
-(* Allocation-free step for timed loops: same walk, same counters,
-   same state effect; no outcome record, no output packets. *)
-let step_count t pkt = step_count_at t ~root:t.plan.Compile.root pkt
-
 (* ------------------------------------------------------------------ *)
 (* Deferred execution (the sharded dataplane's phase protocol)         *)
 (* ------------------------------------------------------------------ *)
@@ -326,12 +301,12 @@ type pending = { pce : Compile.centry; ppmask : int }
      matched entry is serial (its fire touches shared state). The
      match and its counters stand; the fire is carried in [p] for the
      serial phase — the packet is never walked twice.
-   - [`Out] / [`Counted]: fully handled here.
+   - [`Out]: fully handled here.
 
    The rolled-back walk still advanced the store clock and stamped
    recency on shard-local reads; both are invisible to unbounded
    stores and documented noise under a capacity bound. *)
-let step_or_defer t ~serial ~count pkt =
+let step_or_defer t ~serial pkt =
   let s = t.stats in
   let sv_packets = s.packets
   and sv_fsm = s.fsm_hits
@@ -362,72 +337,20 @@ let step_or_defer t ~serial ~count pkt =
     | Some ce when serial ce.Compile.eidx -> `Defer { pce = ce; ppmask = t.pmask }
     | Some ce ->
         attribute t ce;
-        if count then begin
-          fire_count t pkt ce;
-          `Counted
-        end
-        else `Out (fire t pkt ce)
+        `Out (fire t pkt ce)
     | None ->
         count_miss t;
-        if count then `Counted else `Out miss_outcome
+        `Out miss_outcome
 
 (* Serial-phase completion of a [`Defer]: re-uses the parallel-phase
    match (no second walk, no second packet count); emits and updates
    evaluate fresh against the now-current state. *)
-let fire_pending t ~count pkt (p : pending) =
+let fire_pending t pkt (p : pending) =
   t.pmask <- p.ppmask;
   attribute t p.pce;
-  if count then begin
-    fire_count t pkt p.pce;
-    miss_outcome
-  end
-  else fire t pkt p.pce
+  fire t pkt p.pce
 
 let run_batch t pkts = Array.map (step t) pkts
-
-(* Packet generation happens outside the timed sections, in chunks so
-   memory stays bounded: [engine_ms] charges the stepping and nothing
-   else. The explicit fill loop keeps the RNG consumption order
-   identical to [Packet.Traffic.random_stream]. The timed loop uses
-   the counted step — no outcome or output allocation. *)
-let replay ?(profile = Packet.Traffic.default_profile) t ~seed ~n =
-  let rng = Packet.Rng.create seed in
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining 4096 in
-    let buf = ref [] in
-    for _ = 1 to m do
-      buf := Packet.Traffic.random_pkt rng profile :: !buf
-    done;
-    let pkts = Array.of_list (List.rev !buf) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_count t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-(* Same timed-loop discipline as {!replay}, over a churn generator
-   (constant live-flow pool with unbounded turnover). The generator is
-   consumed outside the timed sections, so elapsed time is stepping
-   only — comparable 1:1 with {!Shard.replay_churn}. *)
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to m - 1 do
-      step_count t pkts.(i)
-    done;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
 
 let snapshot t = Flowstate.snapshot t.state
 let evictions t = Flowstate.evictions t.state

@@ -96,18 +96,9 @@ val step_at : t -> root:Compile.dnode -> Packet.Pkt.t -> outcome
     attribute exactly as if the walk had crossed the skipped prefix
     minus the skipped nodes' own levels. *)
 
-val step_count_at : t -> root:Compile.dnode -> Packet.Pkt.t -> unit
-(** Allocation-free {!step_at} (see {!step_count}). *)
-
-val step_count : t -> Packet.Pkt.t -> unit
-(** Allocation-free {!step} for timed loops: same walk, same counters,
-    same state effect; no [outcome] record and no output packets are
-    built. Caveat: emit value expressions still evaluate (same reads,
-    same exceptions), but the packet-field {e setters} are skipped, so
-    a setter's coercion error would escape {!step} and not
-    [step_count] — no corpus model emits a value its field rejects. *)
-
 val run_batch : t -> Packet.Pkt.t array -> outcome array
+(** {!step} over an array, in order. Timed runs pass it to
+    {!Packet.Traffic.time_batches}. *)
 
 (** {1 Deferred execution — the sharded dataplane's phase protocol} *)
 
@@ -120,9 +111,8 @@ type pending
 val step_or_defer :
   t ->
   serial:(int -> bool) ->
-  count:bool ->
   Packet.Pkt.t ->
-  [ `Out of outcome | `Counted | `Defer of pending | `Rewalk ]
+  [ `Out of outcome | `Defer of pending | `Rewalk ]
 (** One parallel-phase step. [`Rewalk]: the walk read through a frozen
     store ({!Flowstate.frozen_hits} advanced), so its verdict may be
     stale — all counters it touched are rolled back and the caller
@@ -130,27 +120,12 @@ val step_or_defer :
     is exact but [serial eidx] holds for the matched entry (its fire
     touches shared state) — the match stands, complete it with
     {!fire_pending} in the serial phase. Otherwise the packet is fully
-    handled: [`Out] an outcome, or [`Counted] when [count] (see
-    {!step_count}). *)
+    handled and [`Out] carries its outcome. *)
 
-val fire_pending : t -> count:bool -> Packet.Pkt.t -> pending -> outcome
+val fire_pending : t -> Packet.Pkt.t -> pending -> outcome
 (** Serial-phase completion of a [`Defer]: attribution and fire only —
     emits and updates evaluate fresh against the now-current state; no
-    second walk, no second packet count. Returns a placeholder miss
-    outcome when [count]. *)
-
-val replay :
-  ?profile:Packet.Traffic.profile -> t -> seed:int -> n:int -> float
-(** Drive [n] packets of the seeded {!Packet.Traffic} generator through
-    the engine in bounded chunks; returns elapsed wall-clock seconds
-    spent stepping only — packet generation happens outside the timed
-    sections, and the timed loop uses {!step_count} (allocation-free).
-    The stream equals [Packet.Traffic.random_stream ~seed ~n profile]. *)
-
-val replay_churn : ?batch:int -> t -> churn:Packet.Traffic.churn -> n:int -> float
-(** {!replay} over a churn generator (constant live-flow pool with
-    unbounded turnover, see {!Packet.Traffic.churn_gen}); the
-    generator advances, so successive calls continue the stream. *)
+    second walk, no second packet count. *)
 
 val snapshot : t -> Nfactor.Model_interp.store
 (** Final state as an interpreter store, comparable against

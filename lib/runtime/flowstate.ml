@@ -77,6 +77,9 @@ let cell_of_value ~clock ?size v =
   | v -> Scalar v
 
 let create ?capacity ?fallback (store : Nfactor.Model_interp.store) =
+  (match capacity with
+  | Some c when c < 1 -> invalid_arg "Flowstate.create: capacity must be >= 1"
+  | _ -> ());
   let cells = Hashtbl.create 16 in
   Nfactor.Model_interp.Smap.iter
     (fun name v -> Hashtbl.replace cells name (cell_of_value ~clock:0 ~size:4096 v))

@@ -41,7 +41,8 @@ val create : ?capacity:int -> ?fallback:t -> Nfactor.Model_interp.store -> t
     key first (ties broken on the smaller key, so eviction is
     deterministic). Omitted = unbounded, which is required for exact
     equivalence with the reference interpreter (it never evicts).
-    [fallback] chains name resolution (see module doc). *)
+    [fallback] chains name resolution (see module doc).
+    @raise Invalid_argument when [capacity < 1]. *)
 
 val capacity : t -> int option
 

@@ -59,7 +59,6 @@ type jobspec = {
   j_pkts : Packet.Pkt.t array;
   j_gidx : int array;  (** global batch index per packet *)
   j_kh : int array;  (** precomputed flow-key hash per packet *)
-  j_count : bool;
   j_out : Engine.outcome array;  (** shared; disjoint slots per shard *)
   j_serial : bool array;
 }
@@ -92,9 +91,8 @@ let phase_a eng shard (j : jobspec) =
     let p = j.j_pkts.(i) and g = j.j_gidx.(i) and kh = j.j_kh.(i) in
     if Hashtbl.mem dirty kh then defer g p None kh
     else
-      match Engine.step_or_defer eng ~serial ~count:j.j_count p with
+      match Engine.step_or_defer eng ~serial p with
       | `Out o -> j.j_out.(g) <- o
-      | `Counted -> ()
       | `Defer pend -> defer g p (Some pend) kh
       | `Rewalk -> defer g p None kh
   done;
@@ -242,11 +240,10 @@ let swap_plan t plan' =
 (* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_out : Engine.outcome array = [||]
-
-let exec t ~count pkts out =
+let run_batch t pkts =
   if t.stopped then invalid_arg "Shard: engine was shut down";
   let n = Array.length pkts in
+  let out = Array.make n { Engine.outputs = []; fired = None } in
   if n > 0 then begin
     (* Quiescent point: adopt a swapped plan on every engine. *)
     let plan = Atomic.get t.plan_cell in
@@ -267,7 +264,6 @@ let exec t ~count pkts out =
             j_pkts = Array.make counts.(s) pkts.(0);
             j_gidx = Array.make counts.(s) 0;
             j_kh = Array.make counts.(s) 0;
-            j_count = count;
             j_out = out;
             j_serial = t.serial;
           })
@@ -313,54 +309,14 @@ let exec t ~count pkts out =
     List.iter
       (fun d ->
         let eng = t.engines.(d.dshard) in
-        match d.dpend with
-        | Some pend ->
-            let o = Engine.fire_pending eng ~count d.dp pend in
-            if not count then out.(d.dg) <- o
-        | None ->
-            if count then Engine.step_count eng d.dp
-            else out.(d.dg) <- Engine.step eng d.dp)
+        out.(d.dg) <-
+          (match d.dpend with
+          | Some pend -> Engine.fire_pending eng d.dp pend
+          | None -> Engine.step eng d.dp))
       all;
     t.n_batches <- t.n_batches + 1
-  end
-
-let run_batch t pkts =
-  let out =
-    Array.make (Array.length pkts)
-      { Engine.outputs = []; fired = None }
-  in
-  exec t ~count:false pkts out;
+  end;
   out
-
-let run_batch_count t pkts = exec t ~count:true pkts dummy_out
-
-let replay ?(profile = Packet.Traffic.default_profile) ?(batch = 4096) t ~seed
-    ~n =
-  let rng = Packet.Rng.create seed in
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.random_pkt rng profile) in
-    let t0 = Unix.gettimeofday () in
-    run_batch_count t pkts;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
-
-let replay_churn ?(batch = 4096) t ~churn ~n =
-  let elapsed = ref 0.0 in
-  let remaining = ref n in
-  while !remaining > 0 do
-    let m = min !remaining batch in
-    let pkts = Array.init m (fun _ -> Packet.Traffic.churn_next churn) in
-    let t0 = Unix.gettimeofday () in
-    run_batch_count t pkts;
-    elapsed := !elapsed +. (Unix.gettimeofday () -. t0);
-    remaining := !remaining - m
-  done;
-  !elapsed
 
 let shutdown t =
   if not t.stopped then begin

@@ -55,27 +55,6 @@ val run_batch : t -> Packet.Pkt.t array -> Engine.outcome array
     to a single engine stepping the same array in order (unbounded
     stores). Packets are routed to shards by flow-key hash inside. *)
 
-val run_batch_count : t -> Packet.Pkt.t array -> unit
-(** Allocation-free {!run_batch} for timed loops: same state effect,
-    same counters, no outcome array (see {!Engine.step_count}). *)
-
-val replay :
-  ?profile:Packet.Traffic.profile ->
-  ?batch:int ->
-  t ->
-  seed:int ->
-  n:int ->
-  float
-(** Drive [n] random packets in [batch]-sized counted batches; returns
-    wall-clock seconds spent in {!run_batch_count} only (generation is
-    untimed). Stream equals {!Engine.replay}'s for the same seed. *)
-
-val replay_churn : ?batch:int -> t -> churn:Packet.Traffic.churn -> n:int -> float
-(** {!replay} over a churn generator (constant live-flow pool,
-    unbounded turnover) — the workload for the scaling curve. The
-    generator advances; pair against {!Engine.replay_churn} with an
-    equal-seed generator for the single-engine baseline. *)
-
 (** {1 Merged views} *)
 
 val snapshot : t -> Nfactor.Model_interp.store

@@ -112,9 +112,10 @@ dune exec bin/nfactor_cli.exe -- minimize firewall_redundant --check --json | gr
 for nf in $(dune exec bin/nfactor_cli.exe -- list | awk 'NR>1 {print $1}'); do
   dune exec bin/nfactor_cli.exe -- lint "$nf" --fix --expect clean > /dev/null
 done
-dune exec bench/main.exe -- --analysis --json BENCH_pr9.json
-grep -q '"analysis_ok": true' BENCH_pr9.json
-grep -q '"redundant_reduction_ok": true' BENCH_pr9.json
+dune exec bench/main.exe -- --analysis --json BENCH_analysis.json
+grep -q '"analysis_ok": true' BENCH_analysis.json
+grep -q '"redundant_reduction_ok": true' BENCH_analysis.json
+rm -f BENCH_analysis.json
 
 # Worklist-explorer gates. With merging on, every NF the PR-9 forker
 # explored must reproduce its recorded path census and solver-call
@@ -123,7 +124,8 @@ grep -q '"redundant_reduction_ok": true' BENCH_pr9.json
 # branch count while staying differentially equal to the unmerged
 # enumeration; and the merged exploration must not cost wall-clock
 # against the naive one in the same process.
-dune exec bench/main.exe -- --explore --json BENCH_pr10.json
-grep -q '"explore_ok": true' BENCH_pr10.json
-grep -q '"pr9_counters_reproduced": true' BENCH_pr10.json
-grep -q '"exponential_nf_ok": true' BENCH_pr10.json
+dune exec bench/main.exe -- --explore --json BENCH_explore.json
+grep -q '"explore_ok": true' BENCH_explore.json
+grep -q '"pr9_counters_reproduced": true' BENCH_explore.json
+grep -q '"exponential_nf_ok": true' BENCH_explore.json
+rm -f BENCH_explore.json

@@ -71,7 +71,11 @@ let test_capacity_eviction () =
   Alcotest.(check int) "one eviction" 1 (Flowstate.evictions fs);
   Alcotest.(check bool) "oldest key evicted" false (Flowstate.table_mem fs "t" (Value.Int 1));
   Alcotest.(check bool) "recent keys survive" true
-    (Flowstate.table_mem fs "t" (Value.Int 2) && Flowstate.table_mem fs "t" (Value.Int 3))
+    (Flowstate.table_mem fs "t" (Value.Int 2) && Flowstate.table_mem fs "t" (Value.Int 3));
+  (* a bound below one would evict every insert: rejected up front *)
+  Alcotest.check_raises "capacity 0 rejected"
+    (Invalid_argument "Flowstate.create: capacity must be >= 1")
+    (fun () -> ignore (Flowstate.create ~capacity:0 (smap_of [ ("t", Value.Dict []) ])))
 
 let test_lru_touch () =
   let fs = Flowstate.create ~capacity:2 (smap_of [ ("t", Value.Dict []) ]) in

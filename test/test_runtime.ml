@@ -1,7 +1,7 @@
 (* The compiled dataplane (lib/runtime) against the reference
    interpreter: same entry fires, same outputs, same final state, on
    every corpus NF — plus the engine-only behaviors (plan shape, miss
-   counters, LRU-bounded stores, streaming replay). *)
+   counters, LRU-bounded stores, the timed batch driver). *)
 
 open Symexec
 open Nfactor_runtime
@@ -60,32 +60,100 @@ let final_state name ~seed ~n () =
     true
     (stores_equal ref_store (Engine.snapshot eng))
 
-(* Same traffic delivered through [replay]'s streaming generator and
-   through a materialized [run_batch] must leave identical state and
-   counters — the generator equivalence the bench relies on. *)
+(* The one timed driver ([Packet.Traffic.time_batches]) feeding an
+   executor's [run_batch] — the path every throughput number the CLI
+   and bench print goes through — must leave the same stores, counters
+   and packet count as one [run_batch] over the materialized stream,
+   for the single engine, the 2-domain sharded engine and a chain
+   (whose counter JSON carries fused walks, handoffs and deliveries).
+   The batch size does not divide [n], so a short last chunk is
+   covered too. *)
+type observation = {
+  stores : Nfactor.Model_interp.store list;
+  counters : string;
+  packets : int;
+}
+
+(* A subject runs [feed] against a fresh executor, [feed] handing it
+   packet arrays through the executor's [run_batch]. *)
+let engine_subject name feed =
+  let ex = extraction name in
+  let store = Nfactor.Model_interp.initial_store ex in
+  let e = Engine.create (Compile.compile ex.Nfactor.Extract.model ~config:store) ~store in
+  feed (fun pkts -> ignore (Engine.run_batch e pkts));
+  { stores = [ Engine.snapshot e ]; counters = Engine.stats_json e; packets = e.Engine.stats.Engine.packets }
+
+let shard_subject name feed =
+  let ex = extraction name in
+  let model = ex.Nfactor.Extract.model in
+  let store = Nfactor.Model_interp.initial_store ex in
+  let sh = Shard.create ~nshards:2 model ~config:store in
+  Fun.protect
+    ~finally:(fun () -> Shard.shutdown sh)
+    (fun () ->
+      feed (fun pkts -> ignore (Shard.run_batch sh pkts));
+      let s = Shard.merged_stats sh in
+      {
+        stores = [ Shard.snapshot sh ];
+        counters = Engine.stats_json_of ~nf:name ~plan:(Shard.plan sh) ~evictions:0 s;
+        packets = s.Engine.packets;
+      })
+
+let chain_subject names feed =
+  let node name =
+    let ex = extraction name in
+    (name, ex.Nfactor.Extract.model, Nfactor.Model_interp.initial_store ex)
+  in
+  let c = Chainengine.create (Chainplan.link (List.map node names)) in
+  feed (fun pkts -> ignore (Chainengine.run_batch c pkts));
+  {
+    stores = List.map snd (Chainengine.snapshot_hops c);
+    counters = Chainengine.stats_json c;
+    packets = c.Chainengine.injected;
+  }
+
 let test_replay_matches_batch () =
+  let n = 1000 and seed = 7 in
+  let churn () =
+    let ch = Packet.Traffic.churn_gen ~concurrent:50 ~seed () in
+    fun () -> Packet.Traffic.churn_next ch
+  in
+  let sources =
+    [
+      ( "random",
+        (fun () ->
+          let rng = Packet.Rng.create seed in
+          fun () -> Packet.Traffic.random_pkt rng Packet.Traffic.default_profile),
+        fun () -> Array.of_list (Packet.Traffic.random_stream ~seed ~n ()) );
+      ( "churn",
+        churn,
+        fun () ->
+          let next = churn () in
+          Array.init n (fun _ -> next ()) );
+    ]
+  in
   List.iter
-    (fun name ->
-      let ex = extraction name in
-      let model = ex.Nfactor.Extract.model in
-      let store = Nfactor.Model_interp.initial_store ex in
-      let plan = Compile.compile model ~config:store in
-      let a = Engine.create plan ~store in
-      let _ = Engine.replay a ~seed:7 ~n:500 in
-      let b = Engine.create plan ~store in
-      let _ =
-        Engine.run_batch b (Array.of_list (Packet.Traffic.random_stream ~seed:7 ~n:500 ()))
-      in
-      Alcotest.(check bool)
-        (name ^ ": replay state == batch state")
-        true
-        (stores_equal (Engine.snapshot a) (Engine.snapshot b));
-      Alcotest.(check int) (name ^ ": packets") 500 a.Engine.stats.Engine.packets;
-      Alcotest.(check (list int))
-        (name ^ ": per-entry hits")
-        (Array.to_list b.Engine.stats.Engine.entry_hits)
-        (Array.to_list a.Engine.stats.Engine.entry_hits))
-    [ "lb"; "snort"; "portknock" ]
+    (fun (subject, run) ->
+      List.iter
+        (fun (src, next, stream) ->
+          let label what = Printf.sprintf "%s, %s traffic: %s" subject src what in
+          let timed =
+            run (fun consume ->
+                ignore
+                  (Packet.Traffic.time_batches ~batch:384 ~next:(next ()) ~n consume))
+          in
+          let batch = run (fun consume -> consume (stream ())) in
+          Alcotest.(check int) (label "packets") n timed.packets;
+          Alcotest.(check bool) (label "stores") true
+            (List.equal stores_equal batch.stores timed.stores);
+          Alcotest.(check string) (label "counters") batch.counters timed.counters)
+        sources)
+    [
+      ("engine lb", engine_subject "lb");
+      ("engine portknock", engine_subject "portknock");
+      ("2-shard nat", shard_subject "nat");
+      ("chain firewall,nat,snort", chain_subject [ "firewall"; "nat"; "snort" ]);
+    ]
 
 (* Partial evaluation must only ever drop entries whose config is
    statically false; the plan totals have to account for every entry. *)

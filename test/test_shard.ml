@@ -2,7 +2,7 @@
    analysis on the corpus, flow-key hash properties, and N-shard
    differential exactness — outputs, merged final store and merged
    counters must equal a single engine fed the same stream — plus the
-   RCU plan swap and the counted (allocation-free) batch variant. *)
+   RCU plan swap. *)
 
 open Symexec
 open Nfactor_runtime
@@ -217,27 +217,8 @@ let test_churn_differential () =
     [ "nat"; "portknock"; "synguard" ]
 
 (* ------------------------------------------------------------------ *)
-(* Counted batches and the RCU plan swap                               *)
+(* The RCU plan swap                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let test_count_matches_uncounted () =
-  let ex = extraction "nat" in
-  let model = ex.Nfactor.Extract.model in
-  let store = Nfactor.Model_interp.initial_store ex in
-  let pkts = mixed_stream ~seed:47 ~n:300 in
-  let a = Shard.create ~nshards:2 model ~config:store in
-  let b = Shard.create ~nshards:2 model ~config:store in
-  Fun.protect
-    ~finally:(fun () ->
-      Shard.shutdown a;
-      Shard.shutdown b)
-    (fun () ->
-      let _ = Shard.run_batch a pkts in
-      Shard.run_batch_count b pkts;
-      Alcotest.(check bool) "counted batch: same merged store" true
-        (stores_equal (Shard.snapshot a) (Shard.snapshot b));
-      check_stats_equal "counted batch" (Shard.merged_stats a)
-        (Shard.merged_stats b))
 
 let test_rcu_swap_midstream () =
   (* Swap in a freshly compiled plan between batches; behavior must be
@@ -283,29 +264,6 @@ let test_swap_rejects_unshared_plan () =
         (Invalid_argument "Shard.swap_plan: plan must be compiled ~shared:true")
         (fun () -> Shard.swap_plan sh (Compile.compile model ~config:store)))
 
-let test_engine_step_count_equiv () =
-  (* Engine.step_count (the allocation-free timed-loop step) must be
-     observationally equal to Engine.step: same state, same counters. *)
-  List.iter
-    (fun name ->
-      let ex = extraction name in
-      let model = ex.Nfactor.Extract.model in
-      let store = Nfactor.Model_interp.initial_store ex in
-      let plan = Compile.compile model ~config:store in
-      let a = Engine.create plan ~store in
-      let b = Engine.create plan ~store in
-      let pkts = mixed_stream ~seed:59 ~n:250 in
-      Array.iter (fun p -> ignore (Engine.step a p)) pkts;
-      Array.iter (fun p -> Engine.step_count b p) pkts;
-      Alcotest.(check bool)
-        (name ^ ": step_count state == step state")
-        true
-        (stores_equal (Engine.snapshot a) (Engine.snapshot b));
-      check_stats_equal
-        (name ^ ": step_count counters")
-        a.Engine.stats b.Engine.stats)
-    Nfs.Corpus.names
-
 let suite =
   [
     Alcotest.test_case "spec: nat" `Quick test_spec_nat;
@@ -322,12 +280,8 @@ let suite =
       test_three_shards;
     Alcotest.test_case "churn differential, 2 shards" `Quick
       test_churn_differential;
-    Alcotest.test_case "counted == uncounted batches" `Quick
-      test_count_matches_uncounted;
     Alcotest.test_case "rcu plan swap mid-stream" `Quick
       test_rcu_swap_midstream;
     Alcotest.test_case "swap rejects mutable plan" `Quick
       test_swap_rejects_unshared_plan;
-    Alcotest.test_case "engine step_count equivalence" `Quick
-      test_engine_step_count_equiv;
   ]
