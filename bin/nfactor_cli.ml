@@ -676,8 +676,8 @@ let chain_run_cmd =
           let secs = Nfactor_runtime.Chainengine.shard_replay sh ~pkts:(stream ()) in
           if json then
             Printf.printf
-              "{\"chain\": %S, \"nshards\": %d, \"injected\": %d, \"fused_walks\": %d, \"wall_ms\": %.3f}\n"
-              spec shards
+              "{\"chain\": %s, \"nshards\": %d, \"injected\": %d, \"fused_walks\": %d, \"wall_ms\": %.3f}\n"
+              (Nfactor.Json.quote spec) shards
               (Nfactor_runtime.Chainengine.shard_injected sh)
               (Nfactor_runtime.Chainengine.shard_fused_walks sh)
               (secs *. 1e3)
@@ -835,8 +835,8 @@ let chain_verify_cmd =
         in
         let repro = compiled_reproduces ~other inv nodes o in
         if json then
-          Printf.printf "{\"chain\": %S, \"invariant\": %S, \"compiled_reproduces\": %s, \"outcome\": %s}\n"
-            spec invariant
+          Printf.printf "{\"chain\": %s, \"invariant\": %s, \"compiled_reproduces\": %s, \"outcome\": %s}\n"
+            (Nfactor.Json.quote spec) (Nfactor.Json.quote invariant)
             (match repro with
             | Some true -> "true"
             | Some false -> "false"
@@ -870,7 +870,7 @@ let chain_lint_cmd =
       Analysis.Lint.chain_dead_writes (List.map (fun (n, m, _) -> (n, m)) nodes)
     in
     if json then
-      Printf.printf "{\"chain\": %S, \"findings\": [%s]}\n" spec
+      Printf.printf "{\"chain\": %s, \"findings\": [%s]}\n" (Nfactor.Json.quote spec)
         (String.concat ", " (List.map Analysis.Lint.finding_to_json findings))
     else if findings = [] then
       Fmt.pr "%s: no cross-hop dead writes@." spec
@@ -971,11 +971,11 @@ let minimize_cmd =
         let after = Nfactor.Model.entry_count o.Analysis.Minimize.minimized in
         if json then
           Printf.printf
-            "{\"nf\": %S, \"entries_before\": %d, \"entries_after\": %d, \
+            "{\"nf\": %s, \"entries_before\": %d, \"entries_after\": %d, \
              \"reduction_pct\": %.1f, \"deleted_dead\": %d, \"deleted_shadowed\": %d, \
              \"merged\": %d, \"widened_literals\": %d, \"iterations\": %d, \
              \"verified\": %s, \"trials\": %d}\n"
-            name before after
+            (Nfactor.Json.quote name) before after
             (100. *. Analysis.Minimize.reduction o)
             o.Analysis.Minimize.deleted_dead o.Analysis.Minimize.deleted_shadowed
             o.Analysis.Minimize.merged o.Analysis.Minimize.widened_literals
@@ -1054,8 +1054,8 @@ let synth_all_cmd =
                     (if o.Analysis.Minimize.verified then "true" else "false")
             in
             Printf.sprintf
-              "    { \"name\": %S, \"model_md5\": %S, \"entries\": %d, \"paths\": %d%s }"
-              name digest
+              "    { \"name\": %s, \"model_md5\": %s, \"entries\": %d, \"paths\": %d%s }"
+              (Nfactor.Json.quote name) (Nfactor.Json.quote digest)
               (List.length ex.Nfactor.Extract.model.Nfactor.Model.entries)
               ex.Nfactor.Extract.stats.Symexec.Explore.paths extra)
           results
@@ -1072,7 +1072,7 @@ let synth_all_cmd =
         \  \"wall_ms\": %.3f\n\
          }\n"
         (match Pipeline.Manager.cache_dir m with
-        | Some d -> Printf.sprintf "%S" d
+        | Some d -> Nfactor.Json.quote d
         | None -> "null")
         (String.concat ",\n" nf_json)
         (String.concat ",\n" trace_json)

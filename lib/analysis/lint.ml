@@ -578,29 +578,14 @@ let pp_report ppf r =
 
 (* --- JSON ------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kind_detail = function
   | Dead | Config_dead -> []
   | Shadowed i -> [ ("by", string_of_int i) ]
   | Overlap i -> [ ("with", string_of_int i) ]
   | Unreachable_state s -> [ ("state", string_of_int s) ]
-  | Unwritable_state v | Dead_write v -> [ ("var", Printf.sprintf "%S" (json_escape v)) ]
+  | Unwritable_state v | Dead_write v -> [ ("var", Json.quote v) ]
   | Chain_dead_write (hop, f) ->
-      [ ("hop", Printf.sprintf "\"%s\"" (json_escape hop));
-        ("field", Printf.sprintf "\"%s\"" (json_escape f)) ]
+      [ ("hop", Json.quote hop); ("field", Json.quote f) ]
 
 let witness_json p =
   let fields =
@@ -618,16 +603,16 @@ let finding_to_json f =
     @ [ ("severity", Printf.sprintf "\"%s\"" (severity_to_string f.f_severity));
         ("proven", string_of_bool f.f_proven);
         ("witness", match f.f_witness with Some p -> witness_json p | None -> "null");
-        ("message", Printf.sprintf "\"%s\"" (json_escape f.f_message)) ]
+        ("message", Json.quote f.f_message) ]
   in
   "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) parts) ^ "}"
 
 let report_to_json r =
   let e, w, i = counts r in
   Printf.sprintf
-    "{\"nf\": \"%s\", \"errors\": %d, \"warnings\": %d, \"infos\": %d, \
+    "{\"nf\": %s, \"errors\": %d, \"warnings\": %d, \"infos\": %d, \
      \"clean\": %b, \"findings\": [%s]}"
-    (json_escape r.r_nf) e w i (is_clean r)
+    (Json.quote r.r_nf) e w i (is_clean r)
     (String.concat ", " (List.map finding_to_json r.r_findings))
 
 (* --- cache-stable serialization --------------------------------- *)

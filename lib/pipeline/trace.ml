@@ -30,5 +30,7 @@ let pp ppf t =
 
 let to_json t =
   Printf.sprintf
-    "{ \"nf\": %S, \"pass\": %S, \"fingerprint\": %S, \"status\": %S, \"wall_ms\": %.3f }"
-    t.nf t.pass t.fingerprint (status_to_string t.status) (t.wall_s *. 1e3)
+    "{ \"nf\": %s, \"pass\": %s, \"fingerprint\": %s, \"status\": %s, \"wall_ms\": %.3f }"
+    (Nfactor.Json.quote t.nf) (Nfactor.Json.quote t.pass) (Nfactor.Json.quote t.fingerprint)
+    (Nfactor.Json.quote (status_to_string t.status))
+    (t.wall_s *. 1e3)

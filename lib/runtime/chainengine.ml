@@ -130,7 +130,8 @@ let pp_stats ppf t =
 
 let stats_json t =
   let b = Buffer.create 512 in
-  Printf.bprintf b "{\"chain\": %S, " (String.concat "," (Chainplan.hop_ids t.cp));
+  Printf.bprintf b "{\"chain\": %s, "
+    (Nfactor.Json.quote (String.concat "," (Chainplan.hop_ids t.cp)));
   Printf.bprintf b "\"hops\": %d, " (Chainplan.n_hops t.cp);
   Printf.bprintf b "\"injected\": %d, " t.injected;
   Printf.bprintf b "\"delivered\": %d, " (delivered t);

@@ -418,7 +418,7 @@ let bprint_stats b (s : stats) ~evictions =
 let stats_json_of ~nf ~(plan : Compile.t) ~evictions (s : stats) =
   let b = Buffer.create 256 in
   Buffer.add_string b "{";
-  Printf.bprintf b "\"nf\": %S, " nf;
+  Printf.bprintf b "\"nf\": %s, " (Nfactor.Json.quote nf);
   bprint_stats b s ~evictions;
   Printf.bprintf b ", \"live_entries\": %d, " plan.Compile.live;
   Printf.bprintf b "\"indexed_entries\": %d, " plan.Compile.indexed;

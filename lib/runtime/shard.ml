@@ -377,12 +377,10 @@ let stats_json t ~nf =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf
-       "{\"nf\":%S,\"shards\":%d,\"flow_key\":[%s],\"serial_entries\":%d,\"deferred\":%d,\"batches\":%d,\"merged\":"
-       nf t.nshards
+       "{\"nf\":%s,\"shards\":%d,\"flow_key\":[%s],\"serial_entries\":%d,\"deferred\":%d,\"batches\":%d,\"merged\":"
+       (Nfactor.Json.quote nf) t.nshards
        (String.concat ","
-          (List.map
-             (fun f -> Printf.sprintf "%S" f)
-             t.spec.Shardplan.key_fields))
+          (List.map Nfactor.Json.quote t.spec.Shardplan.key_fields))
        (Array.fold_left (fun a s -> if s then a + 1 else a) 0 t.serial)
        t.n_deferred t.n_batches);
   Buffer.add_string b

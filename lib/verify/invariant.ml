@@ -343,15 +343,15 @@ let order_equiv (a : nodes) (b : nodes) =
 
 let json_of_outcome o =
   let b = Buffer.create 256 in
-  Printf.bprintf b "{\"status\": %S, " (status_string o.status);
+  Printf.bprintf b "{\"status\": %s, " (Json.quote (status_string o.status));
   Printf.bprintf b "\"classes_checked\": %d, " o.classes_checked;
   (match o.counterexample with
-  | Some p -> Printf.bprintf b "\"counterexample\": %S, " (Packet.Pkt.to_string p)
+  | Some p -> Printf.bprintf b "\"counterexample\": %s, " (Json.quote (Packet.Pkt.to_string p))
   | None -> Buffer.add_string b "\"counterexample\": null, ");
   Printf.bprintf b "\"outputs\": [%s], "
     (String.concat ", "
-       (List.map (fun p -> Printf.sprintf "%S" (Packet.Pkt.to_string p)) o.outputs));
-  Printf.bprintf b "\"detail\": %S}" o.detail;
+       (List.map (fun p -> Json.quote (Packet.Pkt.to_string p)) o.outputs));
+  Printf.bprintf b "\"detail\": %s}" (Json.quote o.detail);
   Buffer.contents b
 
 let pp_outcome ppf o =

@@ -220,22 +220,54 @@ let extract_pair =
         Hashtbl.replace tbl name (on, off);
         (on, off)
 
+(* (paths, solver calls) per legacy NF, as recorded from the recursive
+   forker the worklist explorer replaced. Counters are machine-
+   independent: the worklist engine must reproduce the path census
+   exactly and make no more solver calls. *)
+let forker_census =
+  [
+    ("lb", (5, 8));
+    ("balance", (11, 20));
+    ("snort", (6, 10));
+    ("nat", (5, 8));
+    ("firewall", (6, 10));
+    ("firewall_redundant", (8, 14));
+    ("ratelimiter", (5, 8));
+    ("ips", (10, 18));
+    ("synguard", (10, 18));
+    ("acl", (5, 8));
+    ("mirror", (3, 4));
+    ("portknock", (11, 20));
+  ]
+
 let test_legacy_models_byte_identical () =
   (* Below the profitability threshold the merge policy must not fire:
      the refactored explorer with merging on produces byte-for-byte the
-     models of the unmerged enumeration. *)
+     models of the unmerged enumeration, on the forker's census. *)
+  let legacy =
+    List.filter (fun (e : Nfs.Corpus.entry) -> not (List.mem e.Nfs.Corpus.name stress_names))
+      Nfs.Corpus.all
+  in
+  Alcotest.(check (list string)) "census covers the legacy NFs"
+    (List.sort compare (List.map fst forker_census))
+    (List.sort compare (List.map (fun (e : Nfs.Corpus.entry) -> e.Nfs.Corpus.name) legacy));
   List.iter
     (fun (e : Nfs.Corpus.entry) ->
       let name = e.Nfs.Corpus.name in
-      if not (List.mem name stress_names) then begin
-        let on, off = extract_pair e in
-        Alcotest.(check int) (name ^ ": no merges") 0 on.Extract.stats.Explore.merges;
-        Alcotest.(check string)
-          (name ^ ": model byte-identical")
-          (Model_io.to_string off.Extract.model)
-          (Model_io.to_string on.Extract.model)
-      end)
-    Nfs.Corpus.all
+      let on, off = extract_pair e in
+      let paths, calls = List.assoc name forker_census in
+      let stats = on.Extract.stats in
+      Alcotest.(check int) (name ^ ": census paths") paths stats.Explore.paths;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: solver calls %d <= census %d" name stats.Explore.solver_calls calls)
+        true
+        (stats.Explore.solver_calls <= calls);
+      Alcotest.(check int) (name ^ ": no merges") 0 stats.Explore.merges;
+      Alcotest.(check string)
+        (name ^ ": model byte-identical")
+        (Model_io.to_string off.Extract.model)
+        (Model_io.to_string on.Extract.model))
+    legacy
 
 let test_dpi_exponential_vs_merged () =
   let e = Option.get (Nfs.Corpus.find Nfs.Dpi.name) in

@@ -294,6 +294,19 @@ let test_compile_expr_parity () =
         atoms)
     Nfs.Corpus.all
 
+(* Counter JSON is JSON: a model name with a quote and non-ASCII
+   bytes comes out escaped per RFC 8259, UTF-8 kept as is. *)
+let test_stats_json_escapes_name () =
+  let ex = extraction "lb" in
+  let model = { ex.Nfactor.Extract.model with Nfactor.Model.nf_name = "caf\"é" } in
+  let store = Nfactor.Model_interp.initial_store ex in
+  let eng = Engine.create (Compile.compile model ~config:store) ~store in
+  let json = Engine.stats_json eng in
+  let needle = "\"nf\": \"caf\\\"é\"" in
+  let nl = String.length needle in
+  let rec at i = i + nl <= String.length json && (String.sub json i nl = needle || at (i + 1)) in
+  if not (at 0) then Alcotest.failf "expected %s in %s" needle json
+
 (* Randomized seeds: full-corpus engine == interpreter as a law. *)
 let prop_engine_agrees =
   QCheck.Test.make ~name:"property: engine == interpreter on random seeds" ~count:20
@@ -332,5 +345,6 @@ let suite =
       Alcotest.test_case "index used on snort/balance/lb" `Quick test_index_used;
       Alcotest.test_case "miss reasons" `Quick test_miss_reasons;
       Alcotest.test_case "compile_expr == eval" `Quick test_compile_expr_parity;
+      Alcotest.test_case "stats_json escapes the NF name" `Quick test_stats_json_escapes_name;
       QCheck_alcotest.to_alcotest prop_engine_agrees;
     ]
