@@ -24,8 +24,7 @@ let deps_of t n = Option.value ~default:empty_set (Nmap.find_opt n t.deps)
 let controlled_by t b = Option.value ~default:empty_set (Nmap.find_opt b t.controls)
 
 let compute g =
-  let pdom = Dominance.post_dominators g in
-  let ipdom = Dominance.immediate_all pdom g in
+  let ipdom = Dominance.post_dominators g in
   let deps = ref Nmap.empty and controls = ref Nmap.empty in
   let add n b =
     let push key v m =

@@ -1,22 +1,27 @@
-(** Dominators and post-dominators, by iterative set intersection
-    (NF loop bodies are small enough that the O(n²) formulation is
-    fast and obviously correct). *)
+(** Dominators and post-dominators as immediate-dominator trees
+    (Cooper, Harvey & Kennedy's iterative algorithm over reverse
+    postorder). *)
 
 module Nmap = Cfg.Nmap
 module Nset = Cfg.Nset
 
-val dominators : Cfg.t -> Nset.t Nmap.t
-(** Each node's dominator set (itself included); unreachable nodes
-    keep the universal set. *)
+type t = Cfg.node Nmap.t
+(** Each node's immediate (post-)dominator. The root ([Entry], or
+    [Exit] for post-dominance) and nodes the root does not reach in
+    that direction are absent. *)
 
-val post_dominators : Cfg.t -> Nset.t Nmap.t
-(** Same, over the reversed graph from [Exit]. *)
+val dominators : Cfg.t -> t
+(** The dominator tree, rooted at [Entry]. *)
 
-val dominates : Nset.t Nmap.t -> Cfg.node -> Cfg.node -> bool
-val strictly_dominates : Nset.t Nmap.t -> Cfg.node -> Cfg.node -> bool
+val post_dominators : Cfg.t -> t
+(** The post-dominator tree: dominance over the reversed graph, rooted
+    at [Exit]. *)
 
-val immediate : Nset.t Nmap.t -> Cfg.node -> Cfg.node option
-(** Immediate (post-)dominator: the strict dominator closest to the
-    node; [None] for the root. *)
+val immediate : t -> Cfg.node -> Cfg.node option
+(** Immediate (post-)dominator; [None] for the root and for nodes the
+    root does not reach. *)
 
-val immediate_all : Nset.t Nmap.t -> Cfg.t -> Cfg.node Nmap.t
+val dominates : t -> Cfg.node -> Cfg.node -> bool
+(** [dominates t a b]: [a] is [b] or an ancestor of [b] in the tree. *)
+
+val strictly_dominates : t -> Cfg.node -> Cfg.node -> bool

@@ -13,7 +13,7 @@
    classifier chains. *)
 
 type t = {
-  ipdom : Cfg.node Cfg.Nmap.t;
+  ipdom : Dominance.t;
   branch_sids : (int, unit) Hashtbl.t;
   loop_sids : (int, unit) Hashtbl.t;
   mutable chains : (int, int) Hashtbl.t option;  (** sid -> diamond-chain length (lazy) *)
@@ -34,8 +34,7 @@ let rec mark_loop_body ~in_loop t (b : Nfl.Ast.block) =
 
 let of_block (b : Nfl.Ast.block) =
   let g = Cfg.of_block b in
-  let pdom = Dominance.post_dominators g in
-  let ipdom = Dominance.immediate_all pdom g in
+  let ipdom = Dominance.post_dominators g in
   let t =
     {
       ipdom;

@@ -30,6 +30,7 @@ type result = {
   stats : Explore.stats;
   stage_times : (string * float) list;  (** wall-clock seconds per pipeline stage *)
   solver_memo : Solver.memo;  (** verdict cache; reusable for further explorations *)
+  key : string Lazy.t;  (** fingerprint determining [model] and [program] *)
 }
 
 (* Variables whose initial value should stay concrete even when the
@@ -160,15 +161,7 @@ let sliced_body_of_union (p : Nfl.Ast.program) union_slice =
 let slice_stage (p : Nfl.Ast.program) (classes : Statealyzer.Varclass.t) =
   let ois_vars = Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Ois_var in
   let pkt_slice = classes.Statealyzer.Varclass.pkt_slice in
-  let persistent =
-    List.fold_left
-      (fun acc (s : Nfl.Ast.stmt) ->
-        match s.Nfl.Ast.kind with
-        | Nfl.Ast.Assign (Nfl.Ast.L_var x, _) -> Nfl.Ast.Sset.add x acc
-        | _ -> acc)
-      Nfl.Ast.Sset.empty p.Nfl.Ast.globals
-  in
-  let ctx = Slicing.Slice.of_block ~entry_defs:persistent p.Nfl.Ast.main in
+  let ctx = Lazy.force classes.Statealyzer.Varclass.slicing in
   let ois_update_sids =
     Slicing.Slice.find_stmts ctx (fun s ->
         Dataflow.Defs_uses.defs s
@@ -260,7 +253,7 @@ let refine_stage ~name (classes : Statealyzer.Varclass.t) (paths : Explore.path 
   in
   { Model.nf_name = name; pkt_var; cfg_vars; ois_vars; entries }
 
-let assemble ~model ~classes ~program ~slices:sl ~paths ~stats ~stage_times ~solver_memo =
+let assemble ~model ~classes ~program ~slices:sl ~paths ~stats ~stage_times ~solver_memo ~key =
   {
     model;
     classes;
@@ -273,6 +266,7 @@ let assemble ~model ~classes ~program ~slices:sl ~paths ~stats ~stage_times ~sol
     stats;
     stage_times;
     solver_memo;
+    key;
   }
 
 (** Run Algorithm 1 on an NF program: the uncached composition of the
@@ -296,5 +290,10 @@ let run ?(config = Explore.default_config) ?(merge = true) ~name (p : Nfl.Ast.pr
     timed "explore" (fun () -> explore_stage ~config ~merge ~memo:solver_memo p classes sl)
   in
   let model = timed "refine" (fun () -> refine_stage ~name classes paths) in
+  (* Nothing derives this run's model from a fingerprint, so its key is
+     the content itself, digested only if someone asks. *)
+  let key =
+    lazy (Digest.to_hex (Digest.string (Model_io.to_string model ^ "\000" ^ Nfl.Pretty.program p)))
+  in
   assemble ~model ~classes ~program:p ~slices:sl ~paths ~stats
-    ~stage_times:(List.rev !stage_times) ~solver_memo
+    ~stage_times:(List.rev !stage_times) ~solver_memo ~key

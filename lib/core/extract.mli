@@ -25,6 +25,11 @@ type result = {
       (** the exploration's verdict cache; pass to further explorations
           of the same program (e.g. the unsliced original) to reuse
           path-condition verdicts *)
+  key : string Lazy.t;
+      (** a fingerprint that determines [model] and [program]: results
+          with equal keys have equal models and canonical programs.
+          The pass manager sets its refine-pass fingerprint; {!run}, a
+          digest of the model and canonical texts taken on first use. *)
 }
 
 val ensure_canonical : Nfl.Ast.program -> Nfl.Ast.program
@@ -77,6 +82,8 @@ val sliced_body_of_union : Nfl.Ast.program -> int list -> Nfl.Ast.block
     union (cached slices persist only the statement-id lists). *)
 
 val slice_stage : Nfl.Ast.program -> Statealyzer.Varclass.t -> slices
+(** [classes] must be the program's {!classify_stage}: the state slice
+    walks the PDG the classifier built for the packet slice. *)
 
 val merge_policy_of :
   ?min_chain:int ->
@@ -113,6 +120,7 @@ val assemble :
   stats:Explore.stats ->
   stage_times:(string * float) list ->
   solver_memo:Solver.memo ->
+  key:string Lazy.t ->
   result
 (** Build the {!result} record from stage artifacts. *)
 

@@ -158,6 +158,18 @@ let parse_sexp (input : string) =
   if !pos <> n then raise (Parse_error "trailing input");
   result
 
+(* Checked atom conversions: a malformed number or flag is a
+   [Parse_error] naming the atom, never a bare [Failure]. *)
+let int_of_atom s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> raise (Parse_error (Printf.sprintf "bad integer %S" s))
+
+let bool_of_atom s =
+  match bool_of_string_opt s with
+  | Some b -> b
+  | None -> raise (Parse_error (Printf.sprintf "bad boolean %S" s))
+
 (* ------------------------------------------------------------------ *)
 (* Value encoding                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -175,8 +187,8 @@ let rec sexp_of_value = function
   | Value.Pkt _ -> raise (Parse_error "packets are not serializable model constants")
 
 let rec value_of_sexp = function
-  | List [ Atom "i"; Atom n ] -> Value.Int (int_of_string n)
-  | List [ Atom "b"; Atom b ] -> Value.Bool (bool_of_string b)
+  | List [ Atom "i"; Atom n ] -> Value.Int (int_of_atom n)
+  | List [ Atom "b"; Atom b ] -> Value.Bool (bool_of_atom b)
   | List [ Atom "s"; Atom s ] -> Value.Str s
   | List (Atom "tuple" :: vs) -> Value.Tuple (List.map value_of_sexp vs)
   | List (Atom "list" :: vs) -> Value.List (List.map value_of_sexp vs)
@@ -378,9 +390,9 @@ let entry_of_sexp = function
             state_update = List.map update_of_sexp updates;
             path_sids =
               List.map
-                (function Atom s -> int_of_string s | _ -> raise (Parse_error "bad sid"))
+                (function Atom s -> int_of_atom s | _ -> raise (Parse_error "bad sid"))
                 path;
-            truncated = bool_of_string trunc;
+            truncated = bool_of_atom trunc;
           }
       | _ -> raise (Parse_error "bad entry body"))
   | s -> raise (Parse_error ("bad entry: " ^ sexp_to_string s))
@@ -415,7 +427,7 @@ let of_string input =
         List (Atom "ois-vars" :: ois);
         List (Atom "entries" :: entries);
       ] ->
-      let v = int_of_string v in
+      let v = int_of_atom v in
       if v < 1 || v > version then
         raise (Parse_error (Printf.sprintf "unsupported version %d" v));
       let names l =

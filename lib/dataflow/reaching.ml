@@ -9,7 +9,8 @@
 module Def = struct
   type t = { var : string; sid : int }
 
-  let compare (a : t) (b : t) = compare (a.var, a.sid) (b.var, b.sid)
+  let compare (a : t) (b : t) =
+    match String.compare a.var b.var with 0 -> Int.compare a.sid b.sid | c -> c
   let pp ppf d = Fmt.pf ppf "%s@s%d" d.var d.sid
 end
 

@@ -22,10 +22,12 @@ type 'fact solution = { inf : Cfg.node -> 'fact; outf : Cfg.node -> 'fact }
 let solve g (p : 'fact problem) : 'fact solution =
   let module Nmap = Cfg.Nmap in
   let nodes = Cfg.nodes g in
-  let boundary, preds_of, succs_of =
+  (* Statement ids follow the program text, so [nodes] lists the
+     statements in execution order up to loop back edges. *)
+  let boundary, preds_of, succs_of, seed =
     match p.direction with
-    | Forward -> (Cfg.Entry, Cfg.pred_nodes g, Cfg.succ_nodes g)
-    | Backward -> (Cfg.Exit, Cfg.succ_nodes g, Cfg.pred_nodes g)
+    | Forward -> (Cfg.Entry, Cfg.pred_nodes g, Cfg.succ_nodes g, nodes)
+    | Backward -> (Cfg.Exit, Cfg.succ_nodes g, Cfg.pred_nodes g, List.rev nodes)
   in
   let inputs = ref Nmap.empty and outputs = ref Nmap.empty in
   List.iter
@@ -35,11 +37,19 @@ let solve g (p : 'fact problem) : 'fact solution =
     nodes;
   inputs := Nmap.add boundary p.init !inputs;
   outputs := Nmap.add boundary (p.transfer boundary p.init) !outputs;
-  (* Simple round-robin worklist; node counts are small. *)
-  let work = Queue.create () in
-  List.iter (fun n -> Queue.push n work) nodes;
+  (* FIFO worklist seeded along the flow; a node already waiting is not
+     queued again, since its one pending visit reads the latest facts. *)
+  let work = Queue.create () and queued = Hashtbl.create 64 in
+  let push n =
+    if not (Hashtbl.mem queued n) then begin
+      Hashtbl.replace queued n ();
+      Queue.push n work
+    end
+  in
+  List.iter push seed;
   while not (Queue.is_empty work) do
     let n = Queue.pop work in
+    Hashtbl.remove queued n;
     let in_fact =
       if Cfg.node_equal n boundary then p.init
       else
@@ -52,7 +62,7 @@ let solve g (p : 'fact problem) : 'fact solution =
     inputs := Nmap.add n in_fact !inputs;
     if not (p.equal out_fact (Nmap.find n !outputs)) then begin
       outputs := Nmap.add n out_fact !outputs;
-      List.iter (fun s -> Queue.push s work) (succs_of n)
+      List.iter push (succs_of n)
     end
   done;
   let inputs = !inputs and outputs = !outputs in

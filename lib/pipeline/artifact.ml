@@ -101,6 +101,7 @@ let classes_of_string ~canon input =
         categories = List.map category categories;
         pkt_slice = List.map int_atom pkt_slice;
         loop_body;
+        slicing = lazy (Statealyzer.Varclass.slicing_ctx canon);
       }
   | s -> err "not an nfactor-classes document" s
 

@@ -26,7 +26,8 @@ val program_of_string : string -> Nfl.Ast.program
 val classes_to_string : Statealyzer.Varclass.t -> string
 
 val classes_of_string : canon:Nfl.Ast.program -> string -> Statealyzer.Varclass.t
-(** [canon] rebuilds the (unserialized) canonical loop body. *)
+(** [canon] rebuilds the (unserialized) canonical loop body and, on
+    first use, the slicing context. *)
 
 val slices_to_string : Nfactor.Extract.slices -> string
 

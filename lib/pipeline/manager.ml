@@ -159,8 +159,10 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
           ~unwrap:(function A_model m -> Some m | _ -> None)
           (fun () -> Nfactor.Extract.refine_stage ~name classes paths))
   in
+  (* The refine fingerprint chains from the canonical content, so it
+     determines the program as well as the model. *)
   Nfactor.Extract.assemble ~model ~classes ~program:canon ~slices ~paths ~stats
-    ~stage_times:(List.rev !wall) ~solver_memo:t.memo
+    ~stage_times:(List.rev !wall) ~solver_memo:t.memo ~key:(Lazy.from_val refine_fp)
 
 let extract ?config ?merge t ~name p =
   extract_keyed ?config ?merge t ~name
@@ -177,13 +179,15 @@ let extract_source ?config ?merge t ~name source =
     ~src_fp:(Fingerprint.of_text source)
     (fun () -> Nfl.Parser.program source)
 
+(* The downstream passes of an extraction key on its [key], which
+   determines both the model and the canonical program the initial
+   store is read from. *)
+let derived_fp ~pass (ex : Nfactor.Extract.result) =
+  Fingerprint.combine ~pass ~version:stage_version [ Lazy.force ex.Nfactor.Extract.key ]
+
 let plan t (ex : Nfactor.Extract.result) =
   let model = ex.Nfactor.Extract.model in
-  let model_fp = Fingerprint.of_text (Nfactor.Model_io.to_string model) in
-  let prog_fp = Fingerprint.of_text (Nfl.Pretty.program ex.Nfactor.Extract.program) in
-  let fp =
-    Fingerprint.combine ~pass:"compile" ~version:stage_version [ model_fp; prog_fp ]
-  in
+  let fp = derived_fp ~pass:"compile" ex in
   (* Plans contain compiled closures, so this pass is memoized
      in-memory only; across sessions it re-derives from the cached
      model, which is the expensive part to reproduce. *)
@@ -196,11 +200,7 @@ let plan t (ex : Nfactor.Extract.result) =
 
 let analyze t (ex : Nfactor.Extract.result) =
   let model = ex.Nfactor.Extract.model in
-  let model_fp = Fingerprint.of_text (Nfactor.Model_io.to_string model) in
-  let prog_fp = Fingerprint.of_text (Nfl.Pretty.program ex.Nfactor.Extract.program) in
-  let fp =
-    Fingerprint.combine ~pass:"analyze" ~version:stage_version [ model_fp; prog_fp ]
-  in
+  let fp = derived_fp ~pass:"analyze" ex in
   run_pass t ~nf:model.Nfactor.Model.nf_name ~pass:"analyze" ~fp
     ~persist:(Artifact.analysis_to_string, Artifact.analysis_of_string)
     ~wrap:(fun a -> A_analysis a)

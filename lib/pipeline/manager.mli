@@ -54,10 +54,11 @@ val extract_source :
 
 val plan : t -> Nfactor.Extract.result -> Nfactor_runtime.Compile.t
 (** The sixth pass: compile the model against its extraction-time
-    initial store. Keyed on the content fingerprints of the model and
-    the canonical program (which determines the store), so it accepts
-    any extraction result, including one assembled by {!extract} from
-    cached artifacts. *)
+    initial store. Keyed on the result's [key] (for the manager's own
+    extractions, the refine fingerprint, which determines both the
+    model and the canonical program the store is read from), so it
+    accepts any extraction result: one assembled by {!extract} from
+    cached artifacts, or a one-shot {!Nfactor.Extract.run}. *)
 
 val analyze :
   t ->
@@ -65,6 +66,6 @@ val analyze :
   Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report
 (** The seventh pass: lint the synthesized model, minimize its entry
     table ({!Analysis.Minimize}), and lint the minimized table again.
-    Keyed like [plan] on the model + canonical-program fingerprints;
-    the whole triple (reports, original and minimized models, rewrite
-    counters) persists through {!Store} like any other artifact. *)
+    Keyed like [plan] on the result's [key]; the whole triple
+    (reports, original and minimized models, rewrite counters)
+    persists through {!Store} like any other artifact. *)

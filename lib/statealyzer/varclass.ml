@@ -53,6 +53,7 @@ type t = {
   categories : (string * category) list;
   pkt_slice : int list;  (** statement ids of the packet slice over [main] *)
   loop_body : Nfl.Ast.block;  (** canonical loop body (with the recv statement) *)
+  slicing : Slicing.Slice.ctx Lazy.t;  (** PDG over [main]; see {!slicing_ctx} *)
 }
 
 let vars_of_category t cat =
@@ -69,18 +70,26 @@ let classify f ~is_pkt =
   else if f.output_impacting then Ois_var
   else Log_var
 
+(* Persistent variables: top-level assignments. *)
+let persistent_vars (p : Nfl.Ast.program) =
+  List.fold_left
+    (fun acc (s : Nfl.Ast.stmt) ->
+      match s.Nfl.Ast.kind with
+      | Nfl.Ast.Assign (Nfl.Ast.L_var x, _) -> Sset.add x acc
+      | _ -> acc)
+    Sset.empty p.Nfl.Ast.globals
+
+(** The slicing context over the whole [main] (so cross-iteration
+    state flow is visible), with globals counted as defined at entry.
+    Both Algorithm 1 slices — packet (lines 1-4) and state (6-9) —
+    traverse this one PDG. *)
+let slicing_ctx (p : Nfl.Ast.program) =
+  Slicing.Slice.of_block ~entry_defs:(persistent_vars p) p.Nfl.Ast.main
+
 (** Analyze a canonical (function-free, single packet loop) program. *)
 let analyze (p : Nfl.Ast.program) =
   let _, loop_body, pkt_var = Nfl.Transform.packet_loop p in
-  (* Persistent variables: top-level assignments. *)
-  let persistent_vars =
-    List.fold_left
-      (fun acc (s : Nfl.Ast.stmt) ->
-        match s.Nfl.Ast.kind with
-        | Nfl.Ast.Assign (Nfl.Ast.L_var x, _) -> Sset.add x acc
-        | _ -> acc)
-      Sset.empty p.Nfl.Ast.globals
-  in
+  let persistent_vars = persistent_vars p in
   (* Mentions inside the packet loop. *)
   let used = ref Sset.empty and defined = ref Sset.empty in
   Nfl.Ast.iter_stmts
@@ -89,10 +98,8 @@ let analyze (p : Nfl.Ast.program) =
       defined := Sset.union !defined (Dataflow.Defs_uses.defs s))
     loop_body;
   let mentioned = Sset.union !used !defined in
-  (* Packet slice: union of backward slices from every packet output,
-     over the whole main (so cross-iteration state flow is visible).
-     Globals count as defined at entry. *)
-  let ctx = Slicing.Slice.of_block ~entry_defs:persistent_vars p.Nfl.Ast.main in
+  (* Packet slice: union of backward slices from every packet output. *)
+  let ctx = slicing_ctx p in
   let send_sids = Slicing.Slice.find_stmts ctx Nfl.Builtins.is_pkt_output_stmt in
   let pkt_slice = Slicing.Slice.backward_union ctx ~criteria:send_sids in
   (* Variables mentioned by slice statements. *)
@@ -135,7 +142,7 @@ let analyze (p : Nfl.Ast.program) =
   let categories =
     List.map (fun (v, f) -> (v, classify f ~is_pkt:(v = pkt_var))) features
   in
-  { pkt_var; features; categories; pkt_slice; loop_body }
+  { pkt_var; features; categories; pkt_slice; loop_body; slicing = Lazy.from_val ctx }
 
 let pp ppf t =
   List.iter

@@ -35,10 +35,17 @@ type t = {
   categories : (string * category) list;
   pkt_slice : int list;  (** statement ids of the packet slice over main *)
   loop_body : Nfl.Ast.block;  (** canonical loop body *)
+  slicing : Slicing.Slice.ctx Lazy.t;
+      (** the slicing context over [main] the packet slice came from
+          ({!slicing_ctx}); Algorithm 1's state slice reuses its PDG *)
 }
 
 val vars_of_category : t -> category -> string list
 val category_of : t -> string -> category option
+
+val slicing_ctx : Nfl.Ast.program -> Slicing.Slice.ctx
+(** The slicing context over a canonical program's [main], with every
+    global defined at entry. *)
 
 val analyze : Nfl.Ast.program -> t
 (** Analyze a canonical (function-free, single packet loop) program.

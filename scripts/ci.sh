@@ -8,6 +8,14 @@ set -eux
 dune build
 dune runtest
 
+# The benchmark's reference checks: every operation of every workload
+# must reproduce its reference result (synthesized models, engine
+# outputs and state, chain outputs, verifier verdicts), so a cache key
+# that hands back a stale plan fails here.
+for w in synth serve chain verify; do
+  sh perfbench/run.sh --workload "$w" --seed 2 --seconds 1 --trace 0 | tail -1 | grep -q '"failed": 0'
+done
+
 # Bench smoke: pipeline warm-cache speedup, runtime engine (>= 5x the
 # interpreter, outputs and state equal, no ordered-scan fallback) and
 # shard scaling (2-shard exactness; speedup points only where the host

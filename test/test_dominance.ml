@@ -37,9 +37,8 @@ let test_postdominators_diamond () =
 
 let test_immediate_dominators () =
   let g = Cfg.of_block (parse_main diamond) in
-  let dom = Dominance.dominators g in
-  let idom = Dominance.immediate_all dom g in
-  let get n = Cfg.Nmap.find n idom in
+  let idom = Dominance.dominators g in
+  let get n = Option.get (Dominance.immediate idom n) in
   Alcotest.(check bool) "idom s5 = s2" true (Cfg.node_equal (get (Cfg.Stmt 5)) (Cfg.Stmt 2));
   Alcotest.(check bool) "idom s3 = s2" true (Cfg.node_equal (get (Cfg.Stmt 3)) (Cfg.Stmt 2));
   Alcotest.(check bool) "idom s2 = s1" true (Cfg.node_equal (get (Cfg.Stmt 2)) (Cfg.Stmt 1));
@@ -99,12 +98,81 @@ let test_cdg_early_return () =
   Alcotest.(check bool) "s3 CD on s1" true
     (Cfg.Nset.mem (Cfg.Stmt 1) (Cdg.deps_of cdg (Cfg.Stmt 3)))
 
+(* Dominance against its definition, on every corpus NF's [main] and
+   packet-loop body: [m] dominates [n] exactly when [n] is unreachable
+   from [Entry] once [m] is removed, [m] post-dominates [n] exactly when
+   [Exit] is unreachable from [n] once [m] is removed, and the immediate
+   (post-)dominator is the strict one every other strict one
+   (post-)dominates. *)
+let test_dominance_definition () =
+  let check_tree what g ~root ~next tree =
+    let nodes = Cfg.nodes g in
+    (* Nodes reachable from [root] along [next] without entering [cut]. *)
+    let reach ~cut =
+      let rec go seen = function
+        | [] -> seen
+        | n :: rest ->
+            if Cfg.Nset.mem n seen || Some n = cut then go seen rest
+            else go (Cfg.Nset.add n seen) (next n @ rest)
+      in
+      go Cfg.Nset.empty [ root ]
+    in
+    let all = reach ~cut:None in
+    Alcotest.(check int) (what ^ ": every node reachable") (List.length nodes)
+      (Cfg.Nset.cardinal all);
+    let avoiding = List.map (fun m -> (m, reach ~cut:(Some m))) nodes in
+    let doms n =
+      List.filter_map
+        (fun (m, r) -> if Cfg.node_equal m n || not (Cfg.Nset.mem n r) then Some m else None)
+        avoiding
+    in
+    List.iter
+      (fun n ->
+        let ds = doms n in
+        List.iter
+          (fun m ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s over %s" what (Cfg.node_to_string m) (Cfg.node_to_string n))
+              (List.exists (Cfg.node_equal m) ds)
+              (Dominance.dominates tree m n))
+          nodes;
+        let strict = List.filter (fun m -> not (Cfg.node_equal m n)) ds in
+        let idom =
+          List.find_opt
+            (fun d -> List.for_all (fun o -> List.exists (Cfg.node_equal o) (doms d)) strict)
+            strict
+        in
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: immediate of %s" what (Cfg.node_to_string n))
+          (Option.map Cfg.node_to_string idom)
+          (Option.map Cfg.node_to_string (Dominance.immediate tree n)))
+      nodes
+  in
+  List.iter
+    (fun name ->
+      let p =
+        Nfactor.Extract.canonical_stage ((Option.get (Nfs.Corpus.find name)).Nfs.Corpus.program ())
+      in
+      let _, body, _ = Transform.packet_loop p in
+      List.iter
+        (fun (part, block) ->
+          let g = Cfg.of_block block in
+          let what dir = Printf.sprintf "%s %s %s" name part dir in
+          check_tree (what "dom") g ~root:Cfg.Entry ~next:(Cfg.succ_nodes g)
+            (Dominance.dominators g);
+          check_tree (what "pdom") g ~root:Cfg.Exit ~next:(Cfg.pred_nodes g)
+            (Dominance.post_dominators g))
+        [ ("main", p.Ast.main); ("loop body", body) ])
+    Nfs.Corpus.names
+
 let suite =
   [
     Alcotest.test_case "dominators (diamond)" `Quick test_dominators_diamond;
     Alcotest.test_case "postdominators (diamond)" `Quick test_postdominators_diamond;
     Alcotest.test_case "immediate dominators" `Quick test_immediate_dominators;
     Alcotest.test_case "loop postdominance" `Quick test_loop_postdominance;
+    Alcotest.test_case "dominance matches its definition (corpus)" `Quick
+      test_dominance_definition;
     Alcotest.test_case "cdg: if" `Quick test_cdg_if;
     Alcotest.test_case "cdg: nested if" `Quick test_cdg_nested;
     Alcotest.test_case "cdg: loop body" `Quick test_cdg_loop_body;

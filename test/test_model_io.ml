@@ -133,6 +133,37 @@ let test_parse_errors () =
   | exception Model_io.Parse_error _ -> ()
   | _ -> Alcotest.fail "wrong version accepted"
 
+(* Numeric and boolean atoms decode through checked conversions: a
+   malformed one is a [Parse_error] naming the atom, never an escaping
+   [Failure]. *)
+let test_malformed_atoms () =
+  let doc ?(version = "2") ?(value = "(i 1)") ?(sid = "3") ?(trunc = "false") () =
+    Printf.sprintf
+      "(nfactor-model (version %s) (name x) (pkt-var p) (cfg-vars m) (ois-vars) (entries \
+       (entry (config (+ (bin == (sym m) (const %s)))) (flow) (state) (residual) \
+       (action (drop)) (updates) (path %s) (truncated %s))))"
+      version value sid trunc
+  in
+  ignore (Model_io.of_string (doc ()));
+  List.iter
+    (fun (what, text, atom) ->
+      match Model_io.of_string text with
+      | exception Model_io.Parse_error msg ->
+          Alcotest.(check bool)
+            (what ^ ": error names " ^ atom)
+            true
+            (try ignore (Str.search_forward (Str.regexp_string atom) msg 0); true
+             with Not_found -> false)
+      | exception e -> Alcotest.failf "%s: escaped as %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("version overflow", doc ~version:"99999999999999999999" (), "99999999999999999999");
+      ("non-numeric int", doc ~value:"(i abc)" (), "abc");
+      ("non-boolean bool", doc ~value:"(b maybe)" (), "maybe");
+      ("non-numeric sid", doc ~sid:"s3" (), "s3");
+      ("bad truncated flag", doc ~trunc:"perhaps" (), "perhaps");
+    ]
+
 let qcheck_sexp_roundtrip =
   (* Random nested sexps survive print/parse. *)
   let rec gen depth rng =
@@ -159,5 +190,6 @@ let suite =
     Alcotest.test_case "v1 document compat" `Quick test_v1_document_compat;
     Alcotest.test_case "residual roundtrip" `Quick test_residual_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "malformed atoms are parse errors" `Quick test_malformed_atoms;
     QCheck_alcotest.to_alcotest qcheck_sexp_roundtrip;
   ]

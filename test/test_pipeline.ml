@@ -394,12 +394,43 @@ let test_plan_agrees_with_interpreter () =
          && List.for_all2 Packet.Pkt.equal r o.Nfactor_runtime.Engine.outputs)
        ref_out (Array.to_list outs))
 
+(* The compile pass keys on the extraction's derivation: extractions
+   that differ in any parameter never share a plan, and a one-shot
+   [Extract.run] result (keyed on its content) compiles to a plan that
+   behaves like the manager's. *)
+let test_compile_keys () =
+  let m = Manager.create () in
+  let src, p = corpus_nf "dpi" in
+  let merged = Manager.extract_source ~merge:true m ~name:"dpi" src in
+  let unmerged = Manager.extract_source ~merge:false m ~name:"dpi" src in
+  let plan_m, t1 = traced m (fun () -> Manager.plan m merged) in
+  let _, t2 = traced m (fun () -> Manager.plan m unmerged) in
+  check_statuses "merged compiles" [ ("compile", "miss") ] t1;
+  check_statuses "unmerged compiles" [ ("compile", "miss") ] t2;
+  Alcotest.(check bool) "fingerprints differ" true
+    ((List.hd t1).Trace.fingerprint <> (List.hd t2).Trace.fingerprint);
+  let direct = Nfactor.Extract.run ~name:"dpi" p in
+  let plan_d, t3 = traced m (fun () -> Manager.plan m direct) in
+  check_statuses "one-shot result compiles" [ ("compile", "miss") ] t3;
+  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:7 ~n:200 ()) in
+  let replay plan ex =
+    let store = Nfactor.Model_interp.initial_store ex in
+    Nfactor_runtime.Engine.run_batch (Nfactor_runtime.Engine.create plan ~store) pkts
+    |> Array.to_list
+    |> List.map (fun (o : Nfactor_runtime.Engine.outcome) -> o.Nfactor_runtime.Engine.outputs)
+  in
+  Alcotest.(check bool) "one-shot plan replays like the manager's" true
+    (List.for_all2
+       (fun a b -> List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b)
+       (replay plan_m merged) (replay plan_d direct))
+
 let suite =
   [
     Alcotest.test_case "pipeline == Extract.run (corpus)" `Quick test_pipeline_equals_extract;
     Alcotest.test_case "warm re-run identical (corpus)" `Quick test_warm_rerun_identical;
     Alcotest.test_case "warm extraction usable" `Quick test_warm_extraction_usable;
     Alcotest.test_case "in-memory dedup" `Quick test_mem_dedup;
+    Alcotest.test_case "compile keys do not collide" `Quick test_compile_keys;
     Alcotest.test_case "fingerprint stability" `Quick test_fingerprint_stable;
     Alcotest.test_case "comment edit hits everywhere" `Quick test_comment_edit_hits_everywhere;
     Alcotest.test_case "cosmetic edit hits from classify" `Quick test_cosmetic_edit_hits_from_classify;
