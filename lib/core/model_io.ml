@@ -5,9 +5,8 @@
     This module is that interchange format: a small s-expression
     encoding of {!Model.t} with a total parser, so models round-trip
     through files and can be consumed by external verification
-    tooling.
-
-    The format is self-describing and versioned:
+    tooling. It also owns the term codec that the pipeline's cached
+    artifacts reuse.
 
     Terms are hash-consed with session-local ids ({!Sexpr.id}), so the
     encoding is purely structural: writing renders term structure, and
@@ -18,13 +17,17 @@
     The format is self-describing and versioned:
 
     {v
-    (nfactor-model (version 2) (name lb)
+    (nfactor-model (version 3) (name lb)
       (pkt-var pkt) (cfg-vars mode ...) (ois-vars f2b_nat ...)
-      (entries (entry (config ...) (flow ...) (state ...) (residual ...)
+      (terms (sym pkt.dport) (const (i 80)) (bin == 0 1) ...)
+      (entries (entry (config ...) (flow (+ 2)) (state ...) (residual ...)
                       (action ...) (updates ...)) ...))
     v}
 
-    Version 1 documents (no [residual] clause) still parse. *)
+    Version 3 writes every distinct term once, in the [terms] table,
+    and refers to it by index everywhere else. Versions 1 and 2 (no
+    table: each term is written inline as a tree of the same
+    definitions; version 1 also lacks [residual]) still parse. *)
 
 open Symexec
 
@@ -92,6 +95,14 @@ let parse_sexp (input : string) =
     advance ();
     (* opening quote *)
     let b = Buffer.create 16 in
+    (* One digit of an OCaml-style decimal escape \DDD. *)
+    let digit () =
+      match peek () with
+      | '0' .. '9' as c ->
+          advance ();
+          Char.code c - 48
+      | _ -> raise (Parse_error "bad \\DDD escape")
+    in
     let rec go () =
       if !pos >= n then raise (Parse_error "unterminated string")
       else
@@ -100,21 +111,16 @@ let parse_sexp (input : string) =
         | '\\' ->
             advance ();
             (match peek () with
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | '\\' -> Buffer.add_char b '\\'
-            | '"' -> Buffer.add_char b '"'
-            | 'r' -> Buffer.add_char b '\r'
-            | c when c >= '0' && c <= '9' ->
-                (* OCaml-style decimal escape \DDD *)
-                let d1 = Char.code (peek ()) - 48 in
+            | '0' .. '9' ->
+                let d1 = digit () in
+                let d2 = digit () in
+                let code = (d1 * 100) + (d2 * 10) + digit () in
+                if code > 255 then raise (Parse_error (Printf.sprintf "bad escape \\%d" code));
+                Buffer.add_char b (Char.chr code)
+            | c ->
                 advance ();
-                let d2 = Char.code (peek ()) - 48 in
-                advance ();
-                let d3 = Char.code (peek ()) - 48 in
-                Buffer.add_char b (Char.chr ((d1 * 100) + (d2 * 10) + d3))
-            | c -> Buffer.add_char b c);
-            advance ();
+                Buffer.add_char b
+                  (match c with 'n' -> '\n' | 't' -> '\t' | 'b' -> '\b' | 'r' -> '\r' | c -> c));
             go ()
         | c ->
             Buffer.add_char b c;
@@ -158,6 +164,8 @@ let parse_sexp (input : string) =
   if !pos <> n then raise (Parse_error "trailing input");
   result
 
+let err what s = raise (Parse_error (what ^ ": " ^ sexp_to_string s))
+
 (* Checked atom conversions: a malformed number or flag is a
    [Parse_error] naming the atom, never a bare [Failure]. *)
 let int_of_atom s =
@@ -199,10 +207,10 @@ let rec value_of_sexp = function
              | List [ k; v ] -> (value_of_sexp k, value_of_sexp v)
              | _ -> raise (Parse_error "bad dict pair"))
            kvs)
-  | s -> raise (Parse_error ("bad value: " ^ sexp_to_string s))
+  | s -> err "bad value" s
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic expression encoding                                       *)
+(* Terms                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let binop_name op = Nfl.Pretty.binop_str op
@@ -219,148 +227,160 @@ let binop_of_name s =
   | Some op -> op
   | None -> raise (Parse_error ("unknown operator " ^ s))
 
-let rec sexp_of_expr e =
-  match Sexpr.view e with
-  | Sexpr.Const v -> List [ Atom "const"; sexp_of_value v ]
-  | Sexpr.Sym s -> List [ Atom "sym"; Atom s ]
-  | Sexpr.Bin (op, a, b) -> List [ Atom "bin"; Atom (binop_name op); sexp_of_expr a; sexp_of_expr b ]
-  | Sexpr.Not a -> List [ Atom "not"; sexp_of_expr a ]
-  | Sexpr.Neg a -> List [ Atom "neg"; sexp_of_expr a ]
-  | Sexpr.Tup es -> List (Atom "tup" :: List.map sexp_of_expr es)
-  | Sexpr.Lst es -> List (Atom "lst" :: List.map sexp_of_expr es)
-  | Sexpr.Get (a, b) -> List [ Atom "get"; sexp_of_expr a; sexp_of_expr b ]
-  | Sexpr.Ufun (f, args) -> List (Atom "ufun" :: Atom f :: List.map sexp_of_expr args)
-  | Sexpr.Mem (d, k) -> List [ Atom "mem"; sexp_of_dict d; sexp_of_expr k ]
-  | Sexpr.Dget (d, k) -> List [ Atom "dget"; sexp_of_dict d; sexp_of_expr k ]
-  | Sexpr.Ite (g, a, b) -> List [ Atom "ite"; sexp_of_expr g; sexp_of_expr a; sexp_of_expr b ]
+(* The term layer is hash-consed, and a document replicates the same
+   subterms across its entries (dpi's merged model repeats one large
+   [ite] in every entry; path environments repeat the configuration and
+   state terms on every path). Terms are therefore written as a DAG:
+   one topologically ordered definition table in which each distinct
+   term appears exactly once, and every term position elsewhere in the
+   document, a definition's children included, is an index into it. *)
 
-and sexp_of_dict (d : Sexpr.dict_state) =
-  List
-    (Atom "dictstate" :: Atom d.Sexpr.base
-    :: List.map
-         (fun (k, v) ->
-           match v with
-           | Some value -> List [ Atom "set"; sexp_of_expr k; sexp_of_expr value ]
-           | None -> List [ Atom "del"; sexp_of_expr k ])
-         d.Sexpr.writes)
+type encoder = {
+  mutable defs_rev : sexp list;
+  index : (int, int) Hashtbl.t;  (* Sexpr.id -> definition index *)
+}
 
-(* Parsing rebuilds terms through the smart constructors, re-interning
-   (and re-folding, a no-op for terms the constructors built in the
-   first place) in the current session's table. *)
-let rec expr_of_sexp = function
+let encoder () = { defs_rev = []; index = Hashtbl.create 256 }
+
+let rec term enc e =
+  match Hashtbl.find_opt enc.index (Sexpr.id e) with
+  | Some i -> Atom (string_of_int i)
+  | None ->
+      (* Children first: definitions only reference smaller indices. *)
+      let def =
+        match Sexpr.view e with
+        | Sexpr.Const v -> List [ Atom "const"; sexp_of_value v ]
+        | Sexpr.Sym s -> List [ Atom "sym"; Atom s ]
+        | Sexpr.Bin (op, a, b) -> List [ Atom "bin"; Atom (binop_name op); term enc a; term enc b ]
+        | Sexpr.Not a -> List [ Atom "not"; term enc a ]
+        | Sexpr.Neg a -> List [ Atom "neg"; term enc a ]
+        | Sexpr.Tup es -> List (Atom "tup" :: List.map (term enc) es)
+        | Sexpr.Lst es -> List (Atom "lst" :: List.map (term enc) es)
+        | Sexpr.Get (a, b) -> List [ Atom "get"; term enc a; term enc b ]
+        | Sexpr.Ufun (f, args) -> List (Atom "ufun" :: Atom f :: List.map (term enc) args)
+        | Sexpr.Mem (d, k) -> List [ Atom "mem"; dict enc d; term enc k ]
+        | Sexpr.Dget (d, k) -> List [ Atom "dget"; dict enc d; term enc k ]
+        | Sexpr.Ite (g, a, b) -> List [ Atom "ite"; term enc g; term enc a; term enc b ]
+      in
+      let i = Hashtbl.length enc.index in
+      enc.defs_rev <- def :: enc.defs_rev;
+      Hashtbl.replace enc.index (Sexpr.id e) i;
+      Atom (string_of_int i)
+
+and dict enc (d : Sexpr.dict_state) =
+  List (Atom "dictstate" :: Atom d.Sexpr.base :: writes enc d.Sexpr.writes)
+
+and writes enc ws =
+  List.map
+    (fun (k, v) ->
+      match v with
+      | Some value -> List [ Atom "set"; term enc k; term enc value ]
+      | None -> List [ Atom "del"; term enc k ])
+    ws
+
+let terms enc = List (Atom "terms" :: List.rev enc.defs_rev)
+
+(* Decoding maps one definition onto the smart constructors, which
+   re-intern (and re-fold, a no-op for terms the constructors built in
+   the first place) in the current session's table. [child] resolves a
+   child position: an index into the table in version 3, an inline
+   definition in versions 1 and 2. *)
+let writes_of child =
+  List.map (function
+    | List [ Atom "set"; k; v ] -> (child k, Some (child v))
+    | List [ Atom "del"; k ] -> (child k, None)
+    | s -> err "bad write" s)
+
+let dict_of child = function
+  | List (Atom "dictstate" :: Atom base :: ws) -> { Sexpr.base; writes = writes_of child ws }
+  | s -> err "bad dict state" s
+
+let of_def child = function
   | List [ Atom "const"; v ] -> Sexpr.const (value_of_sexp v)
   | List [ Atom "sym"; Atom s ] -> Sexpr.sym s
-  | List [ Atom "bin"; Atom op; a; b ] ->
-      Sexpr.mk_bin (binop_of_name op) (expr_of_sexp a) (expr_of_sexp b)
-  | List [ Atom "not"; a ] -> Sexpr.mk_not (expr_of_sexp a)
-  | List [ Atom "neg"; a ] -> Sexpr.mk_neg (expr_of_sexp a)
-  | List (Atom "tup" :: es) -> Sexpr.mk_tuple (List.map expr_of_sexp es)
-  | List (Atom "lst" :: es) -> Sexpr.mk_list (List.map expr_of_sexp es)
-  | List [ Atom "get"; a; b ] -> Sexpr.mk_get (expr_of_sexp a) (expr_of_sexp b)
-  | List (Atom "ufun" :: Atom f :: args) -> Sexpr.mk_ufun f (List.map expr_of_sexp args)
-  | List [ Atom "mem"; d; k ] -> Sexpr.mk_mem (dict_of_sexp d) (expr_of_sexp k)
-  | List [ Atom "dget"; d; k ] -> Sexpr.mk_dget (dict_of_sexp d) (expr_of_sexp k)
-  | List [ Atom "ite"; g; a; b ] ->
-      Sexpr.mk_ite (expr_of_sexp g) (expr_of_sexp a) (expr_of_sexp b)
-  | s -> raise (Parse_error ("bad expression: " ^ sexp_to_string s))
+  | List [ Atom "bin"; Atom op; a; b ] -> Sexpr.mk_bin (binop_of_name op) (child a) (child b)
+  | List [ Atom "not"; a ] -> Sexpr.mk_not (child a)
+  | List [ Atom "neg"; a ] -> Sexpr.mk_neg (child a)
+  | List (Atom "tup" :: es) -> Sexpr.mk_tuple (List.map child es)
+  | List (Atom "lst" :: es) -> Sexpr.mk_list (List.map child es)
+  | List [ Atom "get"; a; b ] -> Sexpr.mk_get (child a) (child b)
+  | List (Atom "ufun" :: Atom f :: args) -> Sexpr.mk_ufun f (List.map child args)
+  | List [ Atom "mem"; d; k ] -> Sexpr.mk_mem (dict_of child d) (child k)
+  | List [ Atom "dget"; d; k ] -> Sexpr.mk_dget (dict_of child d) (child k)
+  | List [ Atom "ite"; g; a; b ] -> Sexpr.mk_ite (child g) (child a) (child b)
+  | s -> err "bad term" s
 
-and dict_state_of_sexp s = dict_of_sexp s
-
-and dict_of_sexp = function
-  | List (Atom "dictstate" :: Atom base :: writes) ->
-      {
-        Sexpr.base;
-        writes =
-          List.map
-            (function
-              | List [ Atom "set"; k; v ] -> (expr_of_sexp k, Some (expr_of_sexp v))
-              | List [ Atom "del"; k ] -> (expr_of_sexp k, None)
-              | s -> raise (Parse_error ("bad write: " ^ sexp_to_string s)))
-            writes;
-      }
-  | s -> raise (Parse_error ("bad dict state: " ^ sexp_to_string s))
-
-let sexp_of_dict_state = sexp_of_dict
+(* The table folds left to right; a reference resolves only against
+   the already-rebuilt prefix. *)
+let table = function
+  | List (Atom "terms" :: defs) ->
+      let rebuilt = Array.make (List.length defs) Sexpr.tru in
+      let filled = ref 0 in
+      let child = function
+        | Atom i as s ->
+            let i = int_of_atom i in
+            if i < 0 || i >= !filled then err "bad term reference" s else rebuilt.(i)
+        | s -> err "bad term reference" s
+      in
+      List.iter
+        (fun def ->
+          rebuilt.(!filled) <- of_def child def;
+          incr filled)
+        defs;
+      child
+  | s -> err "bad term table" s
 
 (* ------------------------------------------------------------------ *)
 (* Model encoding                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let sexp_of_literal (l : Solver.literal) =
-  List [ Atom (if l.Solver.positive then "+" else "-"); sexp_of_expr l.Solver.atom ]
+let sexp_of_literal enc (l : Solver.literal) =
+  List [ Atom (if l.Solver.positive then "+" else "-"); term enc l.Solver.atom ]
 
-let literal_of_sexp = function
-  | List [ Atom "+"; a ] -> Solver.lit (expr_of_sexp a) true
-  | List [ Atom "-"; a ] -> Solver.lit (expr_of_sexp a) false
-  | s -> raise (Parse_error ("bad literal: " ^ sexp_to_string s))
+let literal_of_sexp child = function
+  | List [ Atom "+"; a ] -> Solver.lit (child a) true
+  | List [ Atom "-"; a ] -> Solver.lit (child a) false
+  | s -> err "bad literal" s
 
-let sexp_of_action = function
-  | Model.Drop -> List [ Atom "drop" ]
-  | Model.Forward snaps ->
-      List
-        (Atom "forward"
-        :: List.map
-             (fun snap ->
-               List (List.map (fun (f, e) -> List [ Atom f; sexp_of_expr e ]) snap))
-             snaps)
+let sexp_of_snapshot enc snap = List (List.map (fun (f, e) -> List [ Atom f; term enc e ]) snap)
 
-let action_of_sexp = function
-  | List [ Atom "drop" ] -> Model.Drop
-  | List (Atom "forward" :: snaps) ->
-      Model.Forward
-        (List.map
-           (function
-             | List fields ->
-                 List.map
-                   (function
-                     | List [ Atom f; e ] -> (f, expr_of_sexp e)
-                     | s -> raise (Parse_error ("bad field: " ^ sexp_to_string s)))
-                   fields
-             | s -> raise (Parse_error ("bad snapshot: " ^ sexp_to_string s)))
-           snaps)
-  | s -> raise (Parse_error ("bad action: " ^ sexp_to_string s))
+let snapshot_of_sexp child = function
+  | List fields ->
+      List.map (function List [ Atom f; e ] -> (f, child e) | s -> err "bad field" s) fields
+  | s -> err "bad snapshot" s
 
-let sexp_of_update (v, u) =
+let sexp_of_update enc (v, u) =
   match u with
-  | Model.Set_scalar e -> List [ Atom "set-scalar"; Atom v; sexp_of_expr e ]
-  | Model.Dict_ops ops ->
-      List
-        (Atom "dict-ops" :: Atom v
-        :: List.map
-             (fun (k, op) ->
-               match op with
-               | Some value -> List [ Atom "set"; sexp_of_expr k; sexp_of_expr value ]
-               | None -> List [ Atom "del"; sexp_of_expr k ])
-             ops)
+  | Model.Set_scalar e -> List [ Atom "set-scalar"; Atom v; term enc e ]
+  | Model.Dict_ops ops -> List (Atom "dict-ops" :: Atom v :: writes enc ops)
 
-let update_of_sexp = function
-  | List [ Atom "set-scalar"; Atom v; e ] -> (v, Model.Set_scalar (expr_of_sexp e))
-  | List (Atom "dict-ops" :: Atom v :: ops) ->
-      ( v,
-        Model.Dict_ops
-          (List.map
-             (function
-               | List [ Atom "set"; k; value ] -> (expr_of_sexp k, Some (expr_of_sexp value))
-               | List [ Atom "del"; k ] -> (expr_of_sexp k, None)
-               | s -> raise (Parse_error ("bad op: " ^ sexp_to_string s)))
-             ops) )
-  | s -> raise (Parse_error ("bad update: " ^ sexp_to_string s))
+let update_of_sexp child = function
+  | List [ Atom "set-scalar"; Atom v; e ] -> (v, Model.Set_scalar (child e))
+  | List (Atom "dict-ops" :: Atom v :: ops) -> (v, Model.Dict_ops (writes_of child ops))
+  | s -> err "bad update" s
 
-let sexp_of_entry (e : Model.entry) =
+let sexp_of_entry enc (e : Model.entry) =
+  let lits tag ls = List (Atom tag :: List.map (sexp_of_literal enc) ls) in
   List
     [
       Atom "entry";
-      List (Atom "config" :: List.map sexp_of_literal e.Model.config);
-      List (Atom "flow" :: List.map sexp_of_literal e.Model.flow_match);
-      List (Atom "state" :: List.map sexp_of_literal e.Model.state_match);
-      List (Atom "residual" :: List.map sexp_of_literal e.Model.residual_match);
-      List [ Atom "action"; sexp_of_action e.Model.pkt_action ];
-      List (Atom "updates" :: List.map sexp_of_update e.Model.state_update);
+      lits "config" e.Model.config;
+      lits "flow" e.Model.flow_match;
+      lits "state" e.Model.state_match;
+      lits "residual" e.Model.residual_match;
+      List
+        [
+          Atom "action";
+          (match e.Model.pkt_action with
+          | Model.Drop -> List [ Atom "drop" ]
+          | Model.Forward snaps -> List (Atom "forward" :: List.map (sexp_of_snapshot enc) snaps));
+        ];
+      List (Atom "updates" :: List.map (sexp_of_update enc) e.Model.state_update);
       List (Atom "path" :: List.map (fun sid -> Atom (string_of_int sid)) e.Model.path_sids);
       List [ Atom "truncated"; Atom (string_of_bool e.Model.truncated) ];
     ]
 
-let entry_of_sexp = function
+let entry_of_sexp child = function
   | List
       (Atom "entry"
       :: List (Atom "config" :: config)
@@ -382,12 +402,17 @@ let entry_of_sexp = function
        List [ Atom "truncated"; Atom trunc ];
       ] ->
           {
-            Model.config = List.map literal_of_sexp config;
-            flow_match = List.map literal_of_sexp flow;
-            state_match = List.map literal_of_sexp state;
-            residual_match = List.map literal_of_sexp residual;
-            pkt_action = action_of_sexp action;
-            state_update = List.map update_of_sexp updates;
+            Model.config = List.map (literal_of_sexp child) config;
+            flow_match = List.map (literal_of_sexp child) flow;
+            state_match = List.map (literal_of_sexp child) state;
+            residual_match = List.map (literal_of_sexp child) residual;
+            pkt_action =
+              (match action with
+              | List [ Atom "drop" ] -> Model.Drop
+              | List (Atom "forward" :: snaps) ->
+                  Model.Forward (List.map (snapshot_of_sexp child) snaps)
+              | s -> err "bad action" s);
+            state_update = List.map (update_of_sexp child) updates;
             path_sids =
               List.map
                 (function Atom s -> int_of_atom s | _ -> raise (Parse_error "bad sid"))
@@ -395,12 +420,16 @@ let entry_of_sexp = function
             truncated = bool_of_atom trunc;
           }
       | _ -> raise (Parse_error "bad entry body"))
-  | s -> raise (Parse_error ("bad entry: " ^ sexp_to_string s))
+  | s -> err "bad entry" s
 
-let version = 2
+let version = 3
 
 (** Serialize a model to its interchange text. *)
 let to_string (m : Model.t) =
+  let enc = encoder () in
+  (* Entries first, so the table they reference is complete, then the
+     table up front for one-pass decoding. *)
+  let entries = List.map (sexp_of_entry enc) m.Model.entries in
   sexp_to_string
     (List
        [
@@ -410,7 +439,8 @@ let to_string (m : Model.t) =
          List [ Atom "pkt-var"; Atom m.Model.pkt_var ];
          List (Atom "cfg-vars" :: List.map (fun v -> Atom v) m.Model.cfg_vars);
          List (Atom "ois-vars" :: List.map (fun v -> Atom v) m.Model.ois_vars);
-         List (Atom "entries" :: List.map sexp_of_entry m.Model.entries);
+         terms enc;
+         List (Atom "entries" :: entries);
        ])
 
 (** Parse a model back.
@@ -418,18 +448,23 @@ let to_string (m : Model.t) =
 let of_string input =
   match parse_sexp input with
   | List
-      [
-        Atom "nfactor-model";
-        List [ Atom "version"; Atom v ];
-        List [ Atom "name"; Atom nf_name ];
-        List [ Atom "pkt-var"; Atom pkt_var ];
-        List (Atom "cfg-vars" :: cfg);
-        List (Atom "ois-vars" :: ois);
-        List (Atom "entries" :: entries);
-      ] ->
+      (Atom "nfactor-model"
+      :: List [ Atom "version"; Atom v ]
+      :: List [ Atom "name"; Atom nf_name ]
+      :: List [ Atom "pkt-var"; Atom pkt_var ]
+      :: List (Atom "cfg-vars" :: cfg)
+      :: List (Atom "ois-vars" :: ois)
+      :: body) ->
       let v = int_of_atom v in
-      if v < 1 || v > version then
-        raise (Parse_error (Printf.sprintf "unsupported version %d" v));
+      let child, entries =
+        match (v, body) with
+        | 3, [ terms; List (Atom "entries" :: entries) ] -> (table terms, entries)
+        | (1 | 2), [ List (Atom "entries" :: entries) ] ->
+            let rec inline s = of_def inline s in
+            (inline, entries)
+        | (1 | 2 | 3), _ -> raise (Parse_error "bad model body")
+        | _ -> raise (Parse_error (Printf.sprintf "unsupported version %d" v))
+      in
       let names l =
         List.map (function Atom s -> s | _ -> raise (Parse_error "bad name")) l
       in
@@ -438,6 +473,6 @@ let of_string input =
         pkt_var;
         cfg_vars = names cfg;
         ois_vars = names ois;
-        entries = List.map entry_of_sexp entries;
+        entries = List.map (entry_of_sexp child) entries;
       }
   | _ -> raise (Parse_error "not an nfactor-model document")

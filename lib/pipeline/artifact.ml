@@ -1,44 +1,32 @@
 open Symexec
 open Nfactor.Model_io
 
-(* All serializers reuse Model_io's s-expression layer (and its term /
-   literal encoders), so artifacts inherit the same totality and
-   re-interning behavior as model files. *)
-
-let program_to_string (p : Nfl.Ast.program) = Nfl.Pretty.program p
-let program_of_string src = Nfl.Parser.program src
-
-let err what s = raise (Parse_error (what ^ ": " ^ sexp_to_string s))
+(* All serializers reuse Model_io's s-expression layer and its term,
+   literal and snapshot codecs, so artifacts inherit the same totality
+   and re-interning behavior as model files. *)
 
 let atom = function Atom s -> s | s -> err "expected atom" s
-let int_atom s = int_of_string (atom s)
-let bool_atom s = bool_of_string (atom s)
+let int_atom s = int_of_atom (atom s)
+let bool_atom s = bool_of_atom (atom s)
 
 (* Floats round-trip exactly through the hexadecimal literal notation
    (%h), which stays inside the unquoted atom alphabet. *)
-let float_atom s = float_of_string (atom s)
-let float_to_atom f = Atom (Printf.sprintf "%h" f)
+let float_atom s =
+  match float_of_string_opt (atom s) with Some f -> f | None -> err "bad float" s
 
 (* ------------------------------------------------------------------ *)
 (* StateAlyzer classification                                         *)
 (* ------------------------------------------------------------------ *)
 
-let category_tag = function
-  | Statealyzer.Varclass.Pkt_var -> "pkt"
-  | Statealyzer.Varclass.Cfg_var -> "cfg"
-  | Statealyzer.Varclass.Ois_var -> "ois"
-  | Statealyzer.Varclass.Log_var -> "log"
-  | Statealyzer.Varclass.Unused_cfg -> "unused-cfg"
-  | Statealyzer.Varclass.Local -> "local"
+let category_tags =
+  Statealyzer.Varclass.
+    [ (Pkt_var, "pkt"); (Cfg_var, "cfg"); (Ois_var, "ois"); (Log_var, "log");
+      (Unused_cfg, "unused-cfg"); (Local, "local") ]
 
-let category_of_tag = function
-  | "pkt" -> Statealyzer.Varclass.Pkt_var
-  | "cfg" -> Statealyzer.Varclass.Cfg_var
-  | "ois" -> Statealyzer.Varclass.Ois_var
-  | "log" -> Statealyzer.Varclass.Log_var
-  | "unused-cfg" -> Statealyzer.Varclass.Unused_cfg
-  | "local" -> Statealyzer.Varclass.Local
-  | s -> raise (Parse_error ("unknown category " ^ s))
+let category_of_tag s =
+  match List.find_opt (fun (_, tag) -> tag = s) category_tags with
+  | Some (c, _) -> c
+  | None -> raise (Parse_error ("unknown category " ^ s))
 
 let classes_to_string (t : Statealyzer.Varclass.t) =
   let feature (v, (f : Statealyzer.Varclass.features)) =
@@ -61,7 +49,7 @@ let classes_to_string (t : Statealyzer.Varclass.t) =
          List
            (Atom "categories"
            :: List.map
-                (fun (v, c) -> List [ Atom v; Atom (category_tag c) ])
+                (fun (v, c) -> List [ Atom v; Atom (List.assoc c category_tags) ])
                 t.Statealyzer.Varclass.categories);
          List
            (Atom "pkt-slice"
@@ -143,148 +131,31 @@ let slices_of_string ~canon input =
 (* Exploration result (paths + stats)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The term layer is hash-consed, and path environments replicate the
-   same configuration/state terms across every path (snort's rule
-   table alone dwarfs the rest of the artifact). Exprs are therefore
-   serialized as a DAG: one topologically ordered definition table in
-   which each distinct term appears exactly once, and every expression
-   position elsewhere in the document is an index into it. This turns
-   the dominant O(paths x term-size) payload into
-   O(paths + distinct terms) and makes warm loads cheap. *)
-
-type term_enc = {
-  mutable defs_rev : sexp list;
-  mutable next : int;
-  enc_index : (int, int) Hashtbl.t;  (* Sexpr.id -> definition index *)
-}
-
-let term_enc () = { defs_rev = []; next = 0; enc_index = Hashtbl.create 256 }
-
-let rec eref enc e =
-  match Hashtbl.find_opt enc.enc_index (Sexpr.id e) with
-  | Some i -> Atom (string_of_int i)
-  | None ->
-      (* Children first: definitions only reference smaller indices. *)
-      let def =
-        match Sexpr.view e with
-        | Sexpr.Const v -> List [ Atom "c"; sexp_of_value v ]
-        | Sexpr.Sym s -> List [ Atom "y"; Atom s ]
-        | Sexpr.Bin (op, a, b) -> List [ Atom "b"; Atom (binop_name op); eref enc a; eref enc b ]
-        | Sexpr.Not a -> List [ Atom "n"; eref enc a ]
-        | Sexpr.Neg a -> List [ Atom "e"; eref enc a ]
-        | Sexpr.Tup es -> List (Atom "t" :: List.map (eref enc) es)
-        | Sexpr.Lst es -> List (Atom "l" :: List.map (eref enc) es)
-        | Sexpr.Get (a, b) -> List [ Atom "g"; eref enc a; eref enc b ]
-        | Sexpr.Ufun (f, args) -> List (Atom "u" :: Atom f :: List.map (eref enc) args)
-        | Sexpr.Mem (d, k) -> List [ Atom "m"; dref enc d; eref enc k ]
-        | Sexpr.Dget (d, k) -> List [ Atom "d"; dref enc d; eref enc k ]
-        | Sexpr.Ite (g, a, b) -> List [ Atom "i"; eref enc g; eref enc a; eref enc b ]
-      in
-      let i = enc.next in
-      enc.next <- i + 1;
-      enc.defs_rev <- def :: enc.defs_rev;
-      Hashtbl.replace enc.enc_index (Sexpr.id e) i;
-      Atom (string_of_int i)
-
-and dref enc (d : Sexpr.dict_state) =
-  List
-    (Atom d.Sexpr.base
-    :: List.map
-         (fun (k, v) ->
-           match v with
-           | Some value -> List [ Atom "s"; eref enc k; eref enc value ]
-           | None -> List [ Atom "x"; eref enc k ])
-         d.Sexpr.writes)
-
-(* Decoding folds the definition table left to right through the smart
-   constructors (re-interning, exactly like model deserialization);
-   references resolve against the already-rebuilt prefix. *)
-type term_dec = { terms : Sexpr.t array; mutable filled : int }
-
-let tref dec s =
-  let i = int_atom s in
-  if i < 0 || i >= dec.filled then err "forward term reference" s else dec.terms.(i)
-
-let dict_of_def dec = function
-  | List (Atom base :: writes) ->
-      {
-        Sexpr.base;
-        writes =
-          List.map
-            (function
-              | List [ Atom "s"; k; v ] -> (tref dec k, Some (tref dec v))
-              | List [ Atom "x"; k ] -> (tref dec k, None)
-              | s -> err "bad dict write" s)
-            writes;
-      }
-  | s -> err "bad dict state" s
-
-let term_dec defs =
-  let dec = { terms = Array.make (List.length defs) Sexpr.tru; filled = 0 } in
-  List.iter
-    (fun def ->
-      let e =
-        match def with
-        | List [ Atom "c"; v ] -> Sexpr.const (value_of_sexp v)
-        | List [ Atom "y"; Atom s ] -> Sexpr.sym s
-        | List [ Atom "b"; Atom op; a; b ] ->
-            Sexpr.mk_bin (binop_of_name op) (tref dec a) (tref dec b)
-        | List [ Atom "n"; a ] -> Sexpr.mk_not (tref dec a)
-        | List [ Atom "e"; a ] -> Sexpr.mk_neg (tref dec a)
-        | List (Atom "t" :: es) -> Sexpr.mk_tuple (List.map (tref dec) es)
-        | List (Atom "l" :: es) -> Sexpr.mk_list (List.map (tref dec) es)
-        | List [ Atom "g"; a; b ] -> Sexpr.mk_get (tref dec a) (tref dec b)
-        | List (Atom "u" :: Atom f :: args) -> Sexpr.mk_ufun f (List.map (tref dec) args)
-        | List [ Atom "m"; d; k ] -> Sexpr.mk_mem (dict_of_def dec d) (tref dec k)
-        | List [ Atom "d"; d; k ] -> Sexpr.mk_dget (dict_of_def dec d) (tref dec k)
-        | List [ Atom "i"; g; a; b ] -> Sexpr.mk_ite (tref dec g) (tref dec a) (tref dec b)
-        | s -> err "bad term definition" s
-      in
-      dec.terms.(dec.filled) <- e;
-      dec.filled <- dec.filled + 1)
-    defs;
-  dec
+(* Path environments replicate the same configuration/state terms
+   across every path (snort's rule table alone dwarfs the rest of the
+   artifact), so the document carries Model_io's shared-term table:
+   O(paths + distinct terms) instead of O(paths x term size). *)
 
 let rec sval_to_sexp enc = function
-  | Explore.Scalar e -> List [ Atom "scalar"; eref enc e ]
-  | Explore.Pktv fields ->
-      List (Atom "pkt" :: List.map (fun (f, e) -> List [ Atom f; eref enc e ]) fields)
-  | Explore.Dictv d -> List [ Atom "dict"; dref enc d ]
+  | Explore.Scalar e -> List [ Atom "scalar"; term enc e ]
+  | Explore.Pktv fields -> List [ Atom "pkt"; sexp_of_snapshot enc fields ]
+  | Explore.Dictv d -> List [ Atom "dict"; dict enc d ]
   | Explore.Listv vs -> List (Atom "vals" :: List.map (sval_to_sexp enc) vs)
 
-let rec sval_of_sexp dec = function
-  | List [ Atom "scalar"; e ] -> Explore.Scalar (tref dec e)
-  | List (Atom "pkt" :: fields) ->
-      Explore.Pktv
-        (List.map
-           (function
-             | List [ Atom f; e ] -> (f, tref dec e)
-             | s -> err "bad packet field" s)
-           fields)
-  | List [ Atom "dict"; d ] -> Explore.Dictv (dict_of_def dec d)
-  | List (Atom "vals" :: vs) -> Explore.Listv (List.map (sval_of_sexp dec) vs)
+let rec sval_of_sexp child = function
+  | List [ Atom "scalar"; e ] -> Explore.Scalar (child e)
+  | List [ Atom "pkt"; fields ] -> Explore.Pktv (snapshot_of_sexp child fields)
+  | List [ Atom "dict"; d ] -> Explore.Dictv (dict_of child d)
+  | List (Atom "vals" :: vs) -> Explore.Listv (List.map (sval_of_sexp child) vs)
   | s -> err "bad sval" s
-
-let sexp_of_lit enc (l : Solver.literal) =
-  List [ Atom (if l.Solver.positive then "+" else "-"); eref enc l.Solver.atom ]
-
-let lit_of_sexp dec = function
-  | List [ Atom "+"; a ] -> Solver.lit (tref dec a) true
-  | List [ Atom "-"; a ] -> Solver.lit (tref dec a) false
-  | s -> err "bad literal" s
 
 let sexp_of_path enc (p : Explore.path) =
   List
     [
       Atom "path";
-      List (Atom "pc" :: List.map (sexp_of_lit enc) p.Explore.pc);
+      List (Atom "pc" :: List.map (sexp_of_literal enc) p.Explore.pc);
       List (Atom "trace" :: sids p.Explore.trace);
-      List
-        (Atom "sends"
-        :: List.map
-             (fun snap ->
-               List (List.map (fun (f, e) -> List [ Atom f; eref enc e ]) snap))
-             p.Explore.sends);
+      List (Atom "sends" :: List.map (sexp_of_snapshot enc) p.Explore.sends);
       List
         (Atom "env"
         :: List.map
@@ -293,7 +164,7 @@ let sexp_of_path enc (p : Explore.path) =
       List [ Atom "truncated"; Atom (string_of_bool p.Explore.truncated) ];
     ]
 
-let path_of_sexp dec = function
+let path_of_sexp child = function
   | List
       [
         Atom "path";
@@ -304,24 +175,14 @@ let path_of_sexp dec = function
         List [ Atom "truncated"; trunc ];
       ] ->
       {
-        Explore.pc = List.map (lit_of_sexp dec) pc;
+        Explore.pc = List.map (literal_of_sexp child) pc;
         trace = List.map int_atom trace;
-        sends =
-          List.map
-            (function
-              | List fields ->
-                  List.map
-                    (function
-                      | List [ Atom f; e ] -> (f, tref dec e)
-                      | s -> err "bad send field" s)
-                    fields
-              | s -> err "bad send" s)
-            sends;
+        sends = List.map (snapshot_of_sexp child) sends;
         env =
           List.fold_left
             (fun acc binding ->
               match binding with
-              | List [ Atom v; sv ] -> Explore.Smap.add v (sval_of_sexp dec sv) acc
+              | List [ Atom v; sv ] -> Explore.Smap.add v (sval_of_sexp child sv) acc
               | s -> err "bad env binding" s)
             Explore.Smap.empty env;
         truncated = bool_atom trunc;
@@ -338,7 +199,7 @@ let sexp_of_stats (s : Explore.stats) =
       List [ Atom "solver-calls"; Atom (string_of_int s.Explore.solver_calls) ];
       List [ Atom "cache-hits"; Atom (string_of_int s.Explore.solver_cache_hits) ];
       List [ Atom "cache-misses"; Atom (string_of_int s.Explore.solver_cache_misses) ];
-      List [ Atom "solver-time"; float_to_atom s.Explore.solver_time_s ];
+      List [ Atom "solver-time"; Atom (Printf.sprintf "%h" s.Explore.solver_time_s) ];
       List [ Atom "forks"; Atom (string_of_int s.Explore.forks) ];
       List [ Atom "max-fork-depth"; Atom (string_of_int s.Explore.max_fork_depth) ];
       List
@@ -393,21 +254,18 @@ let stats_of_sexp = function
   | s -> err "bad stats" s
 
 let paths_to_string ((paths, stats) : Explore.path list * Explore.stats) =
-  let enc = term_enc () in
+  let enc = encoder () in
   (* Encode the paths first so the term table they reference is
      complete, then emit the table up front for one-pass decoding. *)
   let path_sexps = List.map (sexp_of_path enc) paths in
   sexp_to_string
-    (List
-       (Atom "nfactor-paths"
-       :: List (Atom "terms" :: List.rev enc.defs_rev)
-       :: sexp_of_stats stats :: path_sexps))
+    (List (Atom "nfactor-paths" :: terms enc :: sexp_of_stats stats :: path_sexps))
 
 let paths_of_string input =
   match parse_sexp input with
-  | List (Atom "nfactor-paths" :: List (Atom "terms" :: defs) :: stats :: paths) ->
-      let dec = term_dec defs in
-      (List.map (path_of_sexp dec) paths, stats_of_sexp stats)
+  | List (Atom "nfactor-paths" :: terms :: stats :: paths) ->
+      let child = table terms in
+      (List.map (path_of_sexp child) paths, stats_of_sexp stats)
   | s -> err "not an nfactor-paths document" s
 
 (* ------------------------------------------------------------------ *)

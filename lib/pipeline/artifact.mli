@@ -1,10 +1,12 @@
 (** Serialization of intermediate pipeline artifacts.
 
-    {!Nfactor.Model_io} already defines the interchange encoding for
-    models (the refine artifact); this module adds the same-style
-    s-expression serializers for the remaining persistable stage
-    artifacts: the canonical program, the StateAlyzer classification,
-    the slice sets, and the exploration result (paths + stats).
+    {!Nfactor.Model_io} defines the interchange encoding for models
+    (the refine artifact) and the term codec under it; this module adds
+    serializers for the remaining persistable stage artifacts, built on
+    that codec: the StateAlyzer classification, the slice sets, the
+    exploration result (paths + stats, whose terms share one
+    definition table) and the analyzer result. The canonical program
+    persists as its own source text.
 
     Statement-id bearing artifacts (slices, path traces) are only
     meaningful relative to a specific canonical program text;
@@ -16,12 +18,6 @@
     cache miss. *)
 
 open Symexec
-
-val program_to_string : Nfl.Ast.program -> string
-(** Canonical text (pretty-printed source). *)
-
-val program_of_string : string -> Nfl.Ast.program
-(** Re-parse; statement ids are deterministic in the text. *)
 
 val classes_to_string : Statealyzer.Varclass.t -> string
 

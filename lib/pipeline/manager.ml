@@ -6,10 +6,12 @@ let passes =
 (* Implementation version folded into every pass fingerprint: bump when
    any stage's semantics or artifact encoding changes, so persisted
    caches from older builds read as stale instead of wrong. *)
-let stage_version = 3
+let stage_version = 4
 (* 2: match compiler v2 — FSM/decision-tree dispatch plans
    3: worklist explorer — merge/prune stats fields, ite terms in
-      artifacts, join-point merging behind the "merge" param *)
+      artifacts, join-point merging behind the "merge" param
+   4: one term codec — model format v3 (refine, analyze) and Model_io's
+      table and snapshot encodings in explore artifacts *)
 
 type artifact =
   | A_canon of (Nfl.Ast.program * string)
@@ -90,7 +92,7 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
   let canon, canon_text =
     timed "canonicalize" (fun () ->
         run_pass t ~nf:name ~pass:"canonicalize" ~fp:canon_fp
-          ~persist:((fun (_, text) -> text), fun text -> (Artifact.program_of_string text, text))
+          ~persist:((fun (_, text) -> text), fun text -> (Nfl.Parser.program text, text))
           ~wrap:(fun c -> A_canon c)
           ~unwrap:(function A_canon c -> Some c | _ -> None)
           (fun () ->
@@ -100,7 +102,7 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
             let text =
               Nfl.Pretty.program (Nfactor.Extract.ensure_canonical (parse_input ()))
             in
-            (Artifact.program_of_string text, text)))
+            (Nfl.Parser.program text, text)))
   in
   (* Downstream keys chain from the canonical *content*: cosmetically
      different sources that canonicalize identically share every

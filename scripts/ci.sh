@@ -56,6 +56,17 @@ grep '"model_md5"' synth_warm.json > warm_models.txt
 cmp cold_models.txt warm_models.txt
 rm -f synth_cold.json synth_warm.json cold_models.txt warm_models.txt
 
+# Model interchange gates: the current format exports and re-imports
+# (dpi's merged model included), a file written by the previous format
+# version (version 2) still imports, and a malformed string escape is a
+# located error (exit 1), not an uncaught exception (exit 125).
+dune exec bin/nfactor_cli.exe -- export dpi -o "$CACHE_DIR/dpi.model"
+dune exec bin/nfactor_cli.exe -- import "$CACHE_DIR/dpi.model" > /dev/null
+dune exec bin/nfactor_cli.exe -- import test/data/lb_v2.model > /dev/null
+status=0
+dune exec bin/nfactor_cli.exe -- import test/data/bad_escape.model 2> /dev/null || status=$?
+test "$status" -eq 1
+
 # Compiled service-chain gates: the linked 3-NF chain must reproduce
 # the interpreter chain exactly (outputs, per-hop final stores) on
 # random and churn traffic, a sharded chain must reproduce the single

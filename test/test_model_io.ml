@@ -55,6 +55,16 @@ let test_value_roundtrip () =
       Alcotest.(check bool) (Value.to_string v) true (Value.equal v v'))
     cases
 
+(* Encode one component against a fresh table, print and reparse the
+   table together with the component, and decode it against the
+   rebuilt table. *)
+let via_table encode decode x =
+  let enc = Model_io.encoder () in
+  let r = encode enc x in
+  match Model_io.parse_sexp (Model_io.sexp_to_string (Model_io.List [ Model_io.terms enc; r ])) with
+  | Model_io.List [ terms; r' ] -> decode (Model_io.table terms) r'
+  | _ -> Alcotest.fail "table and component expected"
+
 let test_expr_roundtrip () =
   let d =
     { Sexpr.base = "tbl"; writes = [ (Sexpr.sym "k", Some (Sexpr.int 1)); (Sexpr.sym "q", None) ] }
@@ -73,7 +83,7 @@ let test_expr_roundtrip () =
   in
   List.iter
     (fun e ->
-      let e' = Model_io.expr_of_sexp (Model_io.parse_sexp (Model_io.sexp_to_string (Model_io.sexp_of_expr e))) in
+      let e' = via_table Model_io.term (fun child r -> child r) e in
       Alcotest.(check bool) (Sexpr.to_string e) true (Sexpr.equal e e'))
     cases
 
@@ -105,7 +115,7 @@ let test_residual_roundtrip () =
       truncated = false;
     }
   in
-  let e' = Model_io.entry_of_sexp (Model_io.parse_sexp (Model_io.sexp_to_string (Model_io.sexp_of_entry e))) in
+  let e' = via_table Model_io.sexp_of_entry Model_io.entry_of_sexp e in
   match e'.Model.residual_match with
   | [ l ] ->
       Alcotest.(check bool) "polarity kept" false l.Solver.positive;
@@ -123,6 +133,8 @@ let test_parse_errors () =
   fails "(";
   fails "(a))";
   fails "\"open";
+  fails "\"\\999\"";
+  fails "\"\\1";
   (match Model_io.of_string "(something-else)" with
   | exception Model_io.Parse_error _ -> ()
   | _ -> Alcotest.fail "wrong document type accepted");
@@ -165,11 +177,10 @@ let test_malformed_atoms () =
     ]
 
 let qcheck_sexp_roundtrip =
-  (* Random nested sexps survive print/parse. *)
+  (* Random nested sexps, atoms of arbitrary bytes, survive print/parse. *)
   let rec gen depth rng =
     if depth = 0 || Packet.Rng.int rng 3 = 0 then
-      Model_io.Atom
-        (Packet.Rng.pick rng [ "a"; "x1"; "with space"; "sym.bol"; ""; "\"q\""; "end\n" ])
+      Model_io.Atom (String.init (Packet.Rng.int rng 6) (fun _ -> Char.chr (Packet.Rng.int rng 256)))
     else
       Model_io.List (List.init (Packet.Rng.int rng 4) (fun _ -> gen (depth - 1) rng))
   in
@@ -179,6 +190,62 @@ let qcheck_sexp_roundtrip =
       let rng = Packet.Rng.create seed in
       let s = gen 4 rng in
       Model_io.parse_sexp (Model_io.sexp_to_string s) = s)
+
+(* A model file written by the previous format version (version 2,
+   terms inline) reads back as the model a fresh synthesis builds, and
+   re-export writes the current version. *)
+let test_v2_file_compat () =
+  let ic = open_in_bin "data/lb_v2.model" in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let m = Model_io.of_string (String.trim text) in
+  Alcotest.(check string) "lb v2 file imports as lb"
+    (Model.to_string (extract_nf "lb").Extract.model)
+    (Model.to_string m);
+  let s = Model_io.to_string m in
+  Alcotest.(check bool) "re-export writes version 3" true
+    (String.starts_with ~prefix:"(nfactor-model (version 3) " s);
+  List.iter
+    (fun name ->
+      let s = Model_io.to_string (extract_nf name).Extract.model in
+      Alcotest.(check string) (name ^ " v3 text is a fixpoint") s
+        (Model_io.to_string (Model_io.of_string s)))
+    Nfs.Corpus.names
+
+(* Damaged documents, every truncation and a seeded set of single-byte
+   flips, either decode or raise [Parse_error]: no other exception
+   escapes the reader or the term table (flipped digits make forward
+   and out-of-range references). *)
+let test_damaged_input () =
+  let rng = Packet.Rng.create 2024 in
+  let flips = "0123456789() \"\\-+ax" in
+  let survives what decode text =
+    let attempt label s =
+      match decode s with
+      | _ | (exception Model_io.Parse_error _) -> ()
+      | exception e -> Alcotest.failf "%s, %s: escaped as %s" what label (Printexc.to_string e)
+    in
+    for len = 0 to String.length text - 1 do
+      attempt (Printf.sprintf "truncated to %d bytes" len) (String.sub text 0 len)
+    done;
+    for _ = 1 to 300 do
+      let i = Packet.Rng.int rng (String.length text) in
+      let c =
+        if Packet.Rng.int rng 4 = 0 then Char.chr (Packet.Rng.int rng 256)
+        else flips.[Packet.Rng.int rng (String.length flips)]
+      in
+      attempt
+        (Printf.sprintf "byte %d set to %C" i c)
+        (String.mapi (fun j x -> if j = i then c else x) text)
+    done
+  in
+  List.iter
+    (fun name ->
+      survives name Model_io.of_string (Model_io.to_string (extract_nf name).Extract.model))
+    Nfs.Corpus.names;
+  let ex = extract_nf "nat" in
+  survives "nat paths" Pipeline.Artifact.paths_of_string
+    (Pipeline.Artifact.paths_to_string (ex.Extract.paths, ex.Extract.stats))
 
 let suite =
   [
@@ -191,5 +258,7 @@ let suite =
     Alcotest.test_case "residual roundtrip" `Quick test_residual_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "malformed atoms are parse errors" `Quick test_malformed_atoms;
+    Alcotest.test_case "v2 file compat" `Quick test_v2_file_compat;
+    Alcotest.test_case "damaged input is a parse error" `Quick test_damaged_input;
     QCheck_alcotest.to_alcotest qcheck_sexp_roundtrip;
   ]

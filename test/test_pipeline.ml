@@ -424,6 +424,44 @@ let test_compile_keys () =
        (fun a b -> List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b)
        (replay plan_m merged) (replay plan_d direct))
 
+(* Malformed numbers and flags in artifact and lint-report documents
+   raise a [Parse_error] naming the atom, never a bare [Failure]. *)
+let test_malformed_artifacts () =
+  let _, p = corpus_nf "lb" in
+  let ex = Nfactor.Extract.run ~name:"lb" p in
+  let canon = ex.Nfactor.Extract.program in
+  let paths = Artifact.paths_to_string (ex.Nfactor.Extract.paths, ex.Nfactor.Extract.stats) in
+  let damage pattern by = Str.replace_first (Str.regexp pattern) by paths in
+  let slices s = ignore (Artifact.slices_of_string ~canon s) in
+  let paths_of s = ignore (Artifact.paths_of_string s) in
+  let report s = ignore (Analysis.Lint.report_of_string s) in
+  let finding ~entry ~proven =
+    Printf.sprintf
+      "(lint-report 1 (nf lb) (findings ((entry %s) (kind (dead)) (severity error) (proven %s) \
+       (witness ()) (message m))))"
+      entry proven
+  in
+  report (finding ~entry:"3" ~proven:"true");
+  List.iter
+    (fun (what, decode, text, atom) ->
+      match decode text with
+      | exception Nfactor.Model_io.Parse_error msg ->
+          Alcotest.(check bool)
+            (what ^ ": error names " ^ atom)
+            true
+            (try ignore (Str.search_forward (Str.regexp_string atom) msg 0); true
+             with Not_found -> false)
+      | exception e -> Alcotest.failf "%s: escaped as %s" what (Printexc.to_string e)
+      | () -> Alcotest.failf "%s accepted" what)
+    [
+      ("slices: non-numeric sid", slices, "(nfactor-slices (pkt 1) (state) (union 1 x2))", "x2");
+      ("paths: non-numeric count", paths_of, damage "(paths [0-9]+)" "(paths 1x)", "1x");
+      ("paths: non-boolean flag", paths_of, damage "(truncated false)" "(truncated maybe)", "maybe");
+      ("paths: bad float", paths_of, damage "(solver-time [^)]*)" "(solver-time 0xq)", "0xq");
+      ("report: non-numeric entry", report, finding ~entry:"3x" ~proven:"true", "3x");
+      ("report: non-boolean flag", report, finding ~entry:"3" ~proven:"yes", "yes");
+    ]
+
 let suite =
   [
     Alcotest.test_case "pipeline == Extract.run (corpus)" `Quick test_pipeline_equals_extract;
@@ -438,6 +476,7 @@ let suite =
     Alcotest.test_case "param change dirties the suffix" `Quick test_param_change_dirty_suffix;
     Alcotest.test_case "corrupted entries recomputed" `Quick test_corrupted_entry_recomputed;
     Alcotest.test_case "stale header rejected" `Quick test_stale_header_rejected;
+    Alcotest.test_case "malformed artifacts are parse errors" `Quick test_malformed_artifacts;
     Alcotest.test_case "solver memo shared" `Quick test_solver_memo_shared;
     Alcotest.test_case "warm memo still works" `Quick test_warm_memo_still_works;
     Alcotest.test_case "plan pass on warm model" `Quick test_plan_agrees_with_interpreter;
