@@ -41,63 +41,76 @@ end)
 (** Edge labels distinguish branch outcomes. *)
 type label = Seq | True | False
 
+(* Nodes are numbered densely in [nodes] order — [Entry] 0, [Exit] 1,
+   then statements by id — and adjacency lives in arrays indexed by
+   that number. *)
 type t = {
-  succs : (node * label) list Nmap.t;
-  preds : (node * label) list Nmap.t;
-  stmts : Nfl.Ast.stmt Nmap.t;  (** node -> statement (branch or simple) *)
   nodes : node list;  (** all nodes, [Entry] and [Exit] included *)
+  sid_base : int;  (** smallest statement id *)
+  sid_index : int array;  (** [sid - sid_base] -> node number, or -1 *)
+  succs : (node * label) list array;
+  preds : (node * label) list array;
+  stmts : Nfl.Ast.stmt option array;  (** node -> statement (branch or simple) *)
 }
 
-let succs g n = try Nmap.find n g.succs with Not_found -> []
-let preds g n = try Nmap.find n g.preds with Not_found -> []
+(* A node's number, or -1 when it is not in the graph. *)
+let slot g = function
+  | Entry -> 0
+  | Exit -> 1
+  | Stmt sid ->
+      let k = sid - g.sid_base in
+      if k < 0 || k >= Array.length g.sid_index then -1 else g.sid_index.(k)
+
+let index g n = match slot g n with -1 -> raise Not_found | i -> i
+let succs g n = match slot g n with -1 -> [] | i -> g.succs.(i)
+let preds g n = match slot g n with -1 -> [] | i -> g.preds.(i)
 let succ_nodes g n = List.map fst (succs g n)
 let pred_nodes g n = List.map fst (preds g n)
-let stmt_of g n = Nmap.find_opt n g.stmts
+let stmt_of g n = match slot g n with -1 -> None | i -> g.stmts.(i)
 let nodes g = g.nodes
 
 (** Number of real (statement) nodes. *)
-let size g = List.length g.nodes - 2
-
-(* Builder with mutable adjacency, sealed into the immutable record. *)
-type builder = {
-  mutable b_succs : (node * label) list Nmap.t;
-  mutable b_preds : (node * label) list Nmap.t;
-  mutable b_stmts : Nfl.Ast.stmt Nmap.t;
-  mutable b_nodes : Nset.t;
-}
-
-let add_node b n = b.b_nodes <- Nset.add n b.b_nodes
-
-let add_edge b src lbl dst =
-  add_node b src;
-  add_node b dst;
-  let push key v m =
-    Nmap.update key
-      (function
-        | None -> Some [ v ]
-        | Some l -> if List.mem v l then Some l else Some (v :: l))
-      m
-  in
-  b.b_succs <- push src (dst, lbl) b.b_succs;
-  b.b_preds <- push dst (src, lbl) b.b_preds
+let size g = Array.length g.stmts - 2
 
 (** Build the CFG of a statement block (typically a whole [main] or a
     packet-loop body). *)
 let of_block (block : Nfl.Ast.block) =
-  let b =
-    { b_succs = Nmap.empty; b_preds = Nmap.empty; b_stmts = Nmap.empty; b_nodes = Nset.empty }
+  let sids = ref [] in
+  Nfl.Ast.iter_stmts (fun s -> sids := s.Nfl.Ast.sid :: !sids) block;
+  let sids = List.sort_uniq Int.compare !sids in
+  let count = List.length sids + 2 in
+  let sid_base, sid_max =
+    match sids with [] -> (0, -1) | first :: _ -> (first, List.fold_left max first sids)
   in
-  add_node b Entry;
-  add_node b Exit;
+  let sid_index = Array.make (sid_max - sid_base + 1) (-1) in
+  List.iteri (fun i sid -> sid_index.(sid - sid_base) <- i + 2) sids;
+  let g =
+    {
+      nodes = Entry :: Exit :: List.map (fun sid -> Stmt sid) sids;
+      sid_base;
+      sid_index;
+      succs = Array.make count [];
+      preds = Array.make count [];
+      stmts = Array.make count None;
+    }
+  in
+  (* Adjacency lists keep the newest edge first and hold each
+     (node, label) pair once. *)
+  let push a i ((n, l) as v) =
+    if not (List.exists (fun (m, k) -> node_equal m n && k == l) a.(i)) then a.(i) <- v :: a.(i)
+  in
+  let add_edge src lbl dst =
+    push g.succs (index g src) (dst, lbl);
+    push g.preds (index g dst) (src, lbl)
+  in
   (* [stmts ins block] wires [block] after the dangling edges [ins] and
      returns the new dangling edges. *)
   let rec stmts ins block =
     List.fold_left (fun ins s -> stmt ins s) ins block
   and stmt ins (s : Nfl.Ast.stmt) =
     let n = Stmt s.Nfl.Ast.sid in
-    b.b_stmts <- Nmap.add n s b.b_stmts;
-    List.iter (fun (src, lbl) -> add_edge b src lbl n) ins;
-    add_node b n;
+    g.stmts.(index g n) <- Some s;
+    List.iter (fun (src, lbl) -> add_edge src lbl n) ins;
     match s.Nfl.Ast.kind with
     | Nfl.Ast.Assign _ | Nfl.Ast.Expr _ | Nfl.Ast.Delete _ | Nfl.Ast.Pass -> [ (n, Seq) ]
     | Nfl.Ast.Return _ ->
@@ -105,7 +118,7 @@ let of_block (block : Nfl.Ast.block) =
            edge goes to [Exit], a (non-executable) false edge falls
            through. This makes later statements control-dependent on
            the return, so slices keep drop-path [return]s. *)
-        add_edge b n True Exit;
+        add_edge n True Exit;
         [ (n, False) ]
     | Nfl.Ast.If (_, b1, b2) ->
         let t_exits = stmts [ (n, True) ] b1 in
@@ -113,25 +126,16 @@ let of_block (block : Nfl.Ast.block) =
         t_exits @ f_exits
     | Nfl.Ast.While (_, body) | Nfl.Ast.For_in (_, _, body) ->
         let body_exits = stmts [ (n, True) ] body in
-        List.iter (fun (src, lbl) -> add_edge b src lbl n) body_exits;
+        List.iter (fun (src, lbl) -> add_edge src lbl n) body_exits;
         [ (n, False) ]
   in
   let exits = stmts [ (Entry, Seq) ] block in
-  List.iter (fun (src, lbl) -> add_edge b src lbl Exit) exits;
+  List.iter (fun (src, lbl) -> add_edge src lbl Exit) exits;
   (* Ferrante pseudo-edge (unless the block is empty and Entry already
      flows straight to Exit). *)
-  let entry_to_exit =
-    match Nmap.find_opt Entry b.b_succs with
-    | Some l -> List.exists (fun (n, _) -> node_equal n Exit) l
-    | None -> false
-  in
-  if not entry_to_exit then add_edge b Entry False Exit;
-  {
-    succs = b.b_succs;
-    preds = b.b_preds;
-    stmts = b.b_stmts;
-    nodes = Nset.elements b.b_nodes;
-  }
+  if not (List.exists (fun (n, _) -> node_equal n Exit) g.succs.(0)) then
+    add_edge Entry False Exit;
+  g
 
 (** Nodes reachable from [Entry] following successor edges. *)
 let reachable g =

@@ -42,6 +42,11 @@ val nodes : t -> node list
 val size : t -> int
 (** Number of statement nodes. *)
 
+val index : t -> node -> int
+(** A node's position in {!nodes} ([Entry] 0, [Exit] 1, then statements
+    by id): a dense numbering for array-based analyses.
+    @raise Not_found for a statement not in the graph. *)
+
 val reachable : t -> Nset.t
 (** Nodes reachable from [Entry]. *)
 

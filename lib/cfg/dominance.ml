@@ -17,17 +17,20 @@ module Nset = Cfg.Nset
 
 type t = Cfg.node Nmap.t
 
-let compute ~root ~preds ~succs =
-  let index = Hashtbl.create 64 in
+let compute g ~root ~preds ~succs =
+  (* [rpo_of.(Cfg.index g n)]: [n]'s reverse-postorder number, -1 while
+     unplaced (and for nodes [root] does not reach). *)
+  let rpo_of = Array.make (Cfg.size g + 2) (-1) in
+  let visited = Array.make (Cfg.size g + 2) false in
   let order = ref [] in
   let rec visit n =
-    Hashtbl.replace index n (-1);
-    List.iter (fun s -> if not (Hashtbl.mem index s) then visit s) (succs n);
+    visited.(Cfg.index g n) <- true;
+    List.iter (fun s -> if not visited.(Cfg.index g s) then visit s) (succs n);
     order := n :: !order
   in
   visit root;
   let rpo = Array.of_list !order in
-  Array.iteri (fun i n -> Hashtbl.replace index n i) rpo;
+  Array.iteri (fun i n -> rpo_of.(Cfg.index g n) <- i) rpo;
   (* [idom.(i)] is the reverse-postorder number of node [i]'s immediate
      dominator; -1 until first placed. The root dominates itself. *)
   let idom = Array.make (Array.length rpo) (-1) in
@@ -42,9 +45,8 @@ let compute ~root ~preds ~succs =
       let next =
         List.fold_left
           (fun acc p ->
-            match Hashtbl.find_opt index p with
-            | Some j when idom.(j) >= 0 -> if acc < 0 then j else intersect j acc
-            | _ -> acc)
+            let j = rpo_of.(Cfg.index g p) in
+            if j >= 0 && idom.(j) >= 0 then if acc < 0 then j else intersect j acc else acc)
           (-1) (preds rpo.(i))
       in
       if next <> idom.(i) then begin
@@ -59,10 +61,10 @@ let compute ~root ~preds ~succs =
   done;
   !tree
 
-let dominators g = compute ~root:Cfg.Entry ~preds:(Cfg.pred_nodes g) ~succs:(Cfg.succ_nodes g)
+let dominators g = compute g ~root:Cfg.Entry ~preds:(Cfg.pred_nodes g) ~succs:(Cfg.succ_nodes g)
 
 let post_dominators g =
-  compute ~root:Cfg.Exit ~preds:(Cfg.succ_nodes g) ~succs:(Cfg.pred_nodes g)
+  compute g ~root:Cfg.Exit ~preds:(Cfg.succ_nodes g) ~succs:(Cfg.pred_nodes g)
 
 let immediate t n = Nmap.find_opt n t
 

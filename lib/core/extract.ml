@@ -134,12 +134,14 @@ let ensure_canonical (p : Nfl.Ast.program) =
    without any caching. *)
 
 let canonical_stage (p : Nfl.Ast.program) =
-  (* Renumber statement ids by round-tripping the canonical program
-     through the pretty-printer: sids become a pure function of the
-     canonical *text*, so artifacts that mention sids (slices, path
-     traces, model [path_sids]) stay valid when the canonical program
-     is reloaded from a cache and re-parsed in another session. *)
-  Nfl.Parser.program (Nfl.Pretty.program (ensure_canonical p))
+  (* Statement ids and positions come from the printer's layout of the
+     canonical program ([Nfl.Pretty.layout]): the ids a parse of the
+     canonical *text* would assign, so artifacts that mention sids
+     (slices, path traces, model [path_sids]) stay valid when the
+     canonical program is reloaded from a cache and re-parsed in
+     another session. The tests prove the layout equal to that re-parse
+     on the corpus and on generated programs; no second parse runs. *)
+  fst (Nfl.Pretty.layout (ensure_canonical p))
 
 let classify_stage (p : Nfl.Ast.program) = Statealyzer.Varclass.analyze p
 
@@ -159,13 +161,15 @@ let sliced_body_of_union (p : Nfl.Ast.program) union_slice =
   body
 
 let slice_stage (p : Nfl.Ast.program) (classes : Statealyzer.Varclass.t) =
-  let ois_vars = Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Ois_var in
+  let ois_vars =
+    Nfl.Ast.Sset.of_list
+      (Statealyzer.Varclass.vars_of_category classes Statealyzer.Varclass.Ois_var)
+  in
   let pkt_slice = classes.Statealyzer.Varclass.pkt_slice in
   let ctx = Lazy.force classes.Statealyzer.Varclass.slicing in
   let ois_update_sids =
     Slicing.Slice.find_stmts ctx (fun s ->
-        Dataflow.Defs_uses.defs s
-        |> Nfl.Ast.Sset.exists (fun v -> List.mem v ois_vars))
+        not (Nfl.Ast.Sset.disjoint (Dataflow.Defs_uses.defs s) ois_vars))
   in
   let state_slice =
     if ois_update_sids = [] then []

@@ -1,6 +1,6 @@
 (** Live-variable analysis; used by StateAlyzer's loop-carried
     refinement (is a persistent variable's value consumed before being
-    redefined?). *)
+    redefined?). Solved backward as bit vectors by {!Bitflow}. *)
 
 module Sset = Nfl.Ast.Sset
 

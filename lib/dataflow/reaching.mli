@@ -1,20 +1,14 @@
 (** Reaching definitions. A definition is (variable, statement id);
     the pseudo-id 0 denotes "defined before this region". Weak updates
-    generate but do not kill. *)
+    generate but do not kill. Solved as bit vectors over densely
+    numbered definitions ({!Bitflow}). *)
 
-module Def : sig
-  type t = { var : string; sid : int }
+type t
 
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
-end
-
-module Dset : Set.S with type elt = Def.t
-
-type solution = { reach_in : Cfg.node -> Dset.t; reach_out : Cfg.node -> Dset.t }
-
-val solve : ?entry_defs:Nfl.Ast.Sset.t -> Cfg.t -> solution
+val solve : ?entry_defs:Nfl.Ast.Sset.t -> Cfg.t -> t
 (** [entry_defs] are considered defined at [Entry] with id 0. *)
 
-val defs_reaching : solution -> Cfg.node -> string -> Dset.t
-(** Definitions of one variable reaching a node's entry. *)
+val defs_reaching : t -> Cfg.node -> string -> int list
+(** Ids of the statements whose definition of the variable reaches the
+    node's entry, ascending ([0]: defined before the region).
+    @raise Not_found for a node not in the graph. *)

@@ -109,21 +109,38 @@ let token_to_string = function
 
 exception Error of string * Ast.pos
 
-type state = { src : string; mutable pos : int; mutable line : int; mutable col : int }
+(* The lexer is pulled one token at a time ({!next}); the parser keeps
+   its own two-token window, so no token list is ever materialized.
+   Columns are byte offsets from the start of the line, tracked as the
+   offset [bol] of the line's first byte rather than per character. *)
+type t = {
+  src : string;
+  len : int;
+  mutable pos : int;
+  mutable line : int;
+  mutable bol : int;
+  mutable tok_line : int;  (** where the token last returned by [next] starts *)
+  mutable tok_col : int;
+}
 
-let make src = { src; pos = 0; line = 1; col = 1 }
-let cur_pos st : Ast.pos = { line = st.line; col = st.col }
-let at_end st = st.pos >= String.length st.src
-let peek st = if at_end st then '\000' else st.src.[st.pos]
-let peek2 st = if st.pos + 1 >= String.length st.src then '\000' else st.src.[st.pos + 1]
+let make src =
+  { src; len = String.length src; pos = 0; line = 1; bol = 0; tok_line = 1; tok_col = 1 }
 
+let cur_pos st : Ast.pos = { line = st.line; col = st.pos - st.bol + 1 }
+let char_at st i = if i < st.len then String.unsafe_get st.src i else '\000'
+let peek st = char_at st st.pos
+let peek2 st = char_at st (st.pos + 1)
+
+(* Consume one byte that is not a newline. *)
+let skip st = st.pos <- st.pos + 1
+
+(* Consume one byte, which may be a newline. *)
 let advance st =
-  if not (at_end st) then begin
-    if st.src.[st.pos] = '\n' then begin
+  if st.pos < st.len then begin
+    if String.unsafe_get st.src st.pos = '\n' then begin
       st.line <- st.line + 1;
-      st.col <- 1
-    end
-    else st.col <- st.col + 1;
+      st.bol <- st.pos + 1
+    end;
     st.pos <- st.pos + 1
   end
 
@@ -132,38 +149,38 @@ let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_id_char c = is_id_start c || is_digit c
 
 let rec skip_ws st =
-  match peek st with
-  | ' ' | '\t' | '\r' | '\n' ->
-      advance st;
-      skip_ws st
-  | '#' ->
-      while (not (at_end st)) && peek st <> '\n' do
-        advance st
-      done;
-      skip_ws st
-  | _ -> ()
+  if st.pos < st.len then
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\r' | '\n' ->
+        advance st;
+        skip_ws st
+    | '#' ->
+        st.pos <-
+          (match String.index_from_opt st.src st.pos '\n' with Some i -> i | None -> st.len);
+        skip_ws st
+    | _ -> ()
 
 let lex_number st =
   let read_digits () =
     let n = ref 0 in
     while is_digit (peek st) do
       n := (!n * 10) + (Char.code (peek st) - Char.code '0');
-      advance st
+      skip st
     done;
     !n
   in
   let n1 = read_digits () in
   (* Dotted quad: number '.' digit can only be an IP literal. *)
   if peek st = '.' && is_digit (peek2 st) then begin
-    advance st;
+    skip st;
     let n2 = read_digits () in
     if not (peek st = '.' && is_digit (peek2 st)) then
       raise (Error ("malformed IP literal", cur_pos st));
-    advance st;
+    skip st;
     let n3 = read_digits () in
     if not (peek st = '.' && is_digit (peek2 st)) then
       raise (Error ("malformed IP literal", cur_pos st));
-    advance st;
+    skip st;
     let n4 = read_digits () in
     if n1 > 255 || n2 > 255 || n3 > 255 || n4 > 255 then
       raise (Error ("IP octet out of range", cur_pos st));
@@ -173,39 +190,58 @@ let lex_number st =
 
 let lex_hex st =
   (* Called after "0x" has been recognized; leading 0 consumed. *)
-  advance st;
+  skip st;
   (* consume 'x' *)
-  let b = Buffer.create 8 in
+  let start = st.pos in
   let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') in
   if not (is_hex (peek st)) then raise (Error ("malformed hex literal", cur_pos st));
   while is_hex (peek st) do
-    Buffer.add_char b (peek st);
-    advance st
+    skip st
   done;
-  INT (int_of_string ("0x" ^ Buffer.contents b))
+  INT (int_of_string ("0x" ^ String.sub st.src start (st.pos - start)))
 
+(* String escapes cover every one the pretty-printer's [%S] quoting
+   writes: a backslash before [n], [t], [r], [b], a backslash or a
+   double quote, and a three-digit decimal byte [\DDD], so every
+   string the printer emits lexes back to the same bytes. A backslash
+   before a digit must start a [\DDD] of value at most 255, or the
+   string is an error at the backslash; before any other character it
+   stands for that character (snort's ["\x90"] patterns read as
+   [x90]). *)
 let lex_string st =
-  advance st;
+  skip st;
   (* opening quote *)
   let b = Buffer.create 16 in
   let rec go () =
-    if at_end st then raise (Error ("unterminated string", cur_pos st))
+    if st.pos >= st.len then raise (Error ("unterminated string", cur_pos st))
     else
       match peek st with
-      | '"' -> advance st
+      | '"' -> skip st
       | '\\' ->
-          advance st;
-          let c =
-            match peek st with
-            | 'n' -> '\n'
-            | 't' -> '\t'
-            | '\\' -> '\\'
-            | '"' -> '"'
-            | '0' -> '\000'
-            | c -> c
+          let at = cur_pos st in
+          skip st;
+          let simple c =
+            Buffer.add_char b c;
+            skip st
           in
-          Buffer.add_char b c;
-          advance st;
+          (match peek st with
+          | 'n' -> simple '\n'
+          | 't' -> simple '\t'
+          | 'r' -> simple '\r'
+          | 'b' -> simple '\b'
+          | ('\\' | '"') as c -> simple c
+          | '0' .. '9' ->
+              let digit i =
+                let c = char_at st (st.pos + i) in
+                if is_digit c then Char.code c - Char.code '0'
+                else raise (Error ("escape \\DDD needs three decimal digits", at))
+              in
+              let v = (100 * digit 0) + (10 * digit 1) + digit 2 in
+              if v > 255 then raise (Error (Printf.sprintf "escape \\%03d is above 255" v, at));
+              Buffer.add_char b (Char.chr v);
+              st.pos <- st.pos + 3
+          | _ when st.pos >= st.len -> raise (Error ("unterminated string", cur_pos st))
+          | c -> simple c);
           go ()
       | c ->
           Buffer.add_char b c;
@@ -221,7 +257,7 @@ let lex_string st =
 let lex_ident st =
   let start = st.pos in
   while is_id_char (peek st) do
-    advance st
+    skip st
   done;
   match String.sub st.src start (st.pos - start) with
   | "true" -> KW_true
@@ -241,58 +277,61 @@ let lex_ident st =
   | "pass" -> KW_pass
   | s -> ID s
 
-(** Next token plus its start position. *)
+(** Next token; [tok_line]/[tok_col] are set to where it starts. At the
+    end of input this keeps returning [EOF]. *)
 let next st =
   skip_ws st;
-  let pos = cur_pos st in
+  st.tok_line <- st.line;
+  st.tok_col <- st.pos - st.bol + 1;
   let two t =
-    advance st;
-    advance st;
+    st.pos <- st.pos + 2;
     t
   in
   let one t =
-    advance st;
+    skip st;
     t
   in
-  let tok =
-    if at_end st then EOF
-    else
-      match peek st with
-      | '0' when peek2 st = 'x' || peek2 st = 'X' ->
-          advance st;
-          lex_hex st
-      | c when is_digit c -> lex_number st
-      | c when is_id_start c -> lex_ident st
-      | '"' -> lex_string st
-      | '(' -> one LPAREN
-      | ')' -> one RPAREN
-      | '[' -> one LBRACKET
-      | ']' -> one RBRACKET
-      | '{' -> one LBRACE
-      | '}' -> one RBRACE
-      | ',' -> one COMMA
-      | ';' -> one SEMI
-      | '.' -> one DOT
-      | '+' -> if peek2 st = '=' then two PLUS_EQ else one PLUS
-      | '-' -> if peek2 st = '=' then two MINUS_EQ else one MINUS
-      | '*' -> one STAR
-      | '/' -> one SLASH
-      | '%' -> one PERCENT
-      | '=' -> if peek2 st = '=' then two EQ else one ASSIGN
-      | '!' -> if peek2 st = '=' then two NE else one BANG
-      | '<' -> if peek2 st = '=' then two LE else if peek2 st = '<' then two SHL else one LT
-      | '>' -> if peek2 st = '=' then two GE else if peek2 st = '>' then two SHR else one GT
-      | '&' -> if peek2 st = '&' then two AMPAMP else one AMP
-      | '|' -> if peek2 st = '|' then two PIPEPIPE else one PIPE
-      | c -> raise (Error (Printf.sprintf "unexpected character %C" c, pos))
-  in
-  (tok, pos)
+  if st.pos >= st.len then EOF
+  else
+    match peek st with
+    | '0' when peek2 st = 'x' || peek2 st = 'X' ->
+        skip st;
+        lex_hex st
+    | '0' .. '9' -> lex_number st
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident st
+    | '"' -> lex_string st
+    | '(' -> one LPAREN
+    | ')' -> one RPAREN
+    | '[' -> one LBRACKET
+    | ']' -> one RBRACKET
+    | '{' -> one LBRACE
+    | '}' -> one RBRACE
+    | ',' -> one COMMA
+    | ';' -> one SEMI
+    | '.' -> one DOT
+    | '+' -> if peek2 st = '=' then two PLUS_EQ else one PLUS
+    | '-' -> if peek2 st = '=' then two MINUS_EQ else one MINUS
+    | '*' -> one STAR
+    | '/' -> one SLASH
+    | '%' -> one PERCENT
+    | '=' -> if peek2 st = '=' then two EQ else one ASSIGN
+    | '!' -> if peek2 st = '=' then two NE else one BANG
+    | '<' -> if peek2 st = '=' then two LE else if peek2 st = '<' then two SHL else one LT
+    | '>' -> if peek2 st = '=' then two GE else if peek2 st = '>' then two SHR else one GT
+    | '&' -> if peek2 st = '&' then two AMPAMP else one AMP
+    | '|' -> if peek2 st = '|' then two PIPEPIPE else one PIPE
+    | c ->
+        raise
+          (Error (Printf.sprintf "unexpected character %C" c, { line = st.tok_line; col = st.tok_col }))
+
+let tok_pos st : Ast.pos = { line = st.tok_line; col = st.tok_col }
 
 (** Lex a whole source string. *)
 let tokens src =
   let st = make src in
   let rec go acc =
-    let t, p = next st in
-    if t = EOF then List.rev ((t, p) :: acc) else go ((t, p) :: acc)
+    match next st with
+    | EOF -> List.rev ((EOF, tok_pos st) :: acc)
+    | t -> go ((t, tok_pos st) :: acc)
   in
   go []

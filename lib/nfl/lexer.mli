@@ -1,5 +1,6 @@
 (** Hand-written lexer for NFL. Dotted-quad IPv4 literals ([3.3.3.3])
-    lex to their integer value; [#] starts a line comment. *)
+    lex to their integer value; [#] starts a line comment. The parser
+    pulls tokens one at a time through {!next}. *)
 
 type token =
   | INT of int
@@ -55,6 +56,27 @@ type token =
 val token_to_string : token -> string
 
 exception Error of string * Ast.pos
+
+(** {1 Pull interface} *)
+
+type t
+(** Lexing state over one source string. *)
+
+val make : string -> t
+
+val next : t -> token
+(** The next token ([EOF], repeatedly, at the end of input). String
+    literals read every escape the pretty-printer writes: a backslash
+    before [n], [t], [r], [b], a backslash or a double quote, and
+    [\DDD], a three-digit decimal byte up to 255. A backslash before
+    another digit sequence is an error; before any other character it
+    stands for that character.
+    @raise Error with position on malformed input. *)
+
+val tok_pos : t -> Ast.pos
+(** Where the token last returned by {!next} starts. *)
+
+(** {1 Whole-string lexing} *)
 
 val tokens : string -> (token * Ast.pos) list
 (** Lex a whole source string (the final element is [EOF]).

@@ -11,25 +11,48 @@
 
 exception Error of string * Ast.pos
 
-type state = { toks : (Lexer.token * Ast.pos) array; mutable idx : int; gen : Ast.idgen }
+(* Tokens are pulled from the lexer on demand through a two-token
+   window: [tok] is the current token and [nxt] the one after it
+   ([peek2]), each with its start position. *)
+type state = {
+  lex : Lexer.t;
+  mutable tok : Lexer.token;
+  mutable tok_pos : Ast.pos;
+  mutable nxt : Lexer.token;
+  mutable nxt_pos : Ast.pos;
+  gen : Ast.idgen;
+}
 
-let make toks = { toks; idx = 0; gen = Ast.idgen () }
-let peek st = fst st.toks.(st.idx)
-let peek_pos st = snd st.toks.(st.idx)
+let make src =
+  let lex = Lexer.make src in
+  let tok = Lexer.next lex in
+  let tok_pos = Lexer.tok_pos lex in
+  let nxt = Lexer.next lex in
+  { lex; tok; tok_pos; nxt; nxt_pos = Lexer.tok_pos lex; gen = Ast.idgen () }
 
-let peek2 st =
-  if st.idx + 1 < Array.length st.toks then fst st.toks.(st.idx + 1) else Lexer.EOF
+let peek st = st.tok
+let peek_pos st = st.tok_pos
+let peek2 st = st.nxt
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st =
+  match st.tok with
+  | Lexer.EOF -> ()
+  | _ ->
+      st.tok <- st.nxt;
+      st.tok_pos <- st.nxt_pos;
+      st.nxt <- Lexer.next st.lex;
+      st.nxt_pos <- Lexer.tok_pos st.lex
 
 let fail st msg =
   raise (Error (Printf.sprintf "%s (got %s)" msg (Lexer.token_to_string (peek st)), peek_pos st))
 
-let expect st tok msg =
-  if peek st = tok then advance st else fail st ("expected " ^ msg)
+(* [expect]/[accept] are only ever given payload-free tokens, which are
+   immediate values, so physical equality decides them without a
+   polymorphic [compare]. *)
+let expect st tok msg = if peek st == tok then advance st else fail st ("expected " ^ msg)
 
 let accept st tok =
-  if peek st = tok then begin
+  if peek st == tok then begin
     advance st;
     true
   end
@@ -77,73 +100,70 @@ and parse_cmp st =
       | Lexer.KW_in ->
           advance st;
           Ast.Mem (lhs, parse_bitor st)
-      | Lexer.KW_not when peek2 st = Lexer.KW_in ->
+      | Lexer.KW_not when peek2 st == Lexer.KW_in ->
           advance st;
           advance st;
           Ast.Unop (Ast.Not, Ast.Mem (lhs, parse_bitor st))
       | _ -> lhs)
 
-and parse_bitor st =
-  let rec go lhs =
-    if peek st = Lexer.PIPE then begin
+(* The left-associative levels loop through [*_rest] helpers that take
+   the state as an argument, so no closure is allocated per operand. *)
+and parse_bitor st = bitor_rest st (parse_bitand st)
+
+and bitor_rest st lhs =
+  match peek st with
+  | Lexer.PIPE ->
       advance st;
-      go (Ast.Binop (Ast.Bor, lhs, parse_bitand st))
-    end
-    else lhs
-  in
-  go (parse_bitand st)
+      bitor_rest st (Ast.Binop (Ast.Bor, lhs, parse_bitand st))
+  | _ -> lhs
 
-and parse_bitand st =
-  let rec go lhs =
-    if peek st = Lexer.AMP then begin
+and parse_bitand st = bitand_rest st (parse_shift st)
+
+and bitand_rest st lhs =
+  match peek st with
+  | Lexer.AMP ->
       advance st;
-      go (Ast.Binop (Ast.Band, lhs, parse_shift st))
-    end
-    else lhs
-  in
-  go (parse_shift st)
+      bitand_rest st (Ast.Binop (Ast.Band, lhs, parse_shift st))
+  | _ -> lhs
 
-and parse_shift st =
-  let rec go lhs =
-    match peek st with
-    | Lexer.SHL ->
-        advance st;
-        go (Ast.Binop (Ast.Shl, lhs, parse_add st))
-    | Lexer.SHR ->
-        advance st;
-        go (Ast.Binop (Ast.Shr, lhs, parse_add st))
-    | _ -> lhs
-  in
-  go (parse_add st)
+and parse_shift st = shift_rest st (parse_add st)
 
-and parse_add st =
-  let rec go lhs =
-    match peek st with
-    | Lexer.PLUS ->
-        advance st;
-        go (Ast.Binop (Ast.Add, lhs, parse_mul st))
-    | Lexer.MINUS ->
-        advance st;
-        go (Ast.Binop (Ast.Sub, lhs, parse_mul st))
-    | _ -> lhs
-  in
-  go (parse_mul st)
+and shift_rest st lhs =
+  match peek st with
+  | Lexer.SHL ->
+      advance st;
+      shift_rest st (Ast.Binop (Ast.Shl, lhs, parse_add st))
+  | Lexer.SHR ->
+      advance st;
+      shift_rest st (Ast.Binop (Ast.Shr, lhs, parse_add st))
+  | _ -> lhs
 
-and parse_mul st =
-  let rec go lhs =
-    match peek st with
-    | Lexer.STAR ->
-        advance st;
-        go (Ast.Binop (Ast.Mul, lhs, parse_unary st))
-    | Lexer.SLASH ->
-        advance st;
-        go (Ast.Binop (Ast.Div, lhs, parse_unary st))
-    | Lexer.PERCENT ->
-        advance st;
-        go (Ast.Binop (Ast.Mod, lhs, parse_unary st))
-    | _ -> lhs
-  in
-  go (parse_unary st)
+and parse_add st = add_rest st (parse_mul st)
+
+and add_rest st lhs =
+  match peek st with
+  | Lexer.PLUS ->
+      advance st;
+      add_rest st (Ast.Binop (Ast.Add, lhs, parse_mul st))
+  | Lexer.MINUS ->
+      advance st;
+      add_rest st (Ast.Binop (Ast.Sub, lhs, parse_mul st))
+  | _ -> lhs
+
+and parse_mul st = mul_rest st (parse_unary st)
+
+and mul_rest st lhs =
+  match peek st with
+  | Lexer.STAR ->
+      advance st;
+      mul_rest st (Ast.Binop (Ast.Mul, lhs, parse_unary st))
+  | Lexer.SLASH ->
+      advance st;
+      mul_rest st (Ast.Binop (Ast.Div, lhs, parse_unary st))
+  | Lexer.PERCENT ->
+      advance st;
+      mul_rest st (Ast.Binop (Ast.Mod, lhs, parse_unary st))
+  | _ -> lhs
 
 and parse_unary st =
   match peek st with
@@ -155,24 +175,23 @@ and parse_unary st =
       Ast.Unop (Ast.Not, parse_unary st)
   | _ -> parse_postfix st
 
-and parse_postfix st =
-  let rec go e =
-    match peek st with
-    | Lexer.LBRACKET ->
-        advance st;
-        let k = parse_expr st in
-        expect st Lexer.RBRACKET "']'";
-        go (Ast.Index (e, k))
-    | Lexer.DOT -> (
-        advance st;
-        match peek st with
-        | Lexer.ID f ->
-            advance st;
-            go (Ast.Field (e, f))
-        | _ -> fail st "expected field name after '.'")
-    | _ -> e
-  in
-  go (parse_atom st)
+and parse_postfix st = postfix_rest st (parse_atom st)
+
+and postfix_rest st e =
+  match peek st with
+  | Lexer.LBRACKET ->
+      advance st;
+      let k = parse_expr st in
+      expect st Lexer.RBRACKET "']'";
+      postfix_rest st (Ast.Index (e, k))
+  | Lexer.DOT -> (
+      advance st;
+      match peek st with
+      | Lexer.ID f ->
+          advance st;
+          postfix_rest st (Ast.Field (e, f))
+      | _ -> fail st "expected field name after '.'")
+  | _ -> e
 
 and parse_atom st =
   match peek st with
@@ -190,9 +209,8 @@ and parse_atom st =
       Ast.Bool false
   | Lexer.ID name ->
       advance st;
-      if peek st = Lexer.LPAREN then begin
-        advance st;
-        let args = if peek st = Lexer.RPAREN then [] else parse_expr_list st in
+      if accept st Lexer.LPAREN then begin
+        let args = if peek st == Lexer.RPAREN then [] else parse_expr_list st in
         expect st Lexer.RPAREN "')'";
         Ast.Call (name, args)
       end
@@ -201,7 +219,7 @@ and parse_atom st =
       advance st;
       let e = parse_expr st in
       if accept st Lexer.COMMA then begin
-        let rest = if peek st = Lexer.RPAREN then [] else parse_expr_list st in
+        let rest = if peek st == Lexer.RPAREN then [] else parse_expr_list st in
         expect st Lexer.RPAREN "')'";
         Ast.Tuple (e :: rest)
       end
@@ -211,7 +229,7 @@ and parse_atom st =
       end
   | Lexer.LBRACKET ->
       advance st;
-      let es = if peek st = Lexer.RBRACKET then [] else parse_expr_list st in
+      let es = if peek st == Lexer.RBRACKET then [] else parse_expr_list st in
       expect st Lexer.RBRACKET "']'";
       Ast.List_lit es
   | Lexer.LBRACE ->
@@ -259,7 +277,7 @@ let rec parse_stmt st : Ast.stmt list =
       | _ -> fail st "expected loop variable")
   | Lexer.KW_return ->
       advance st;
-      let e = if peek st = Lexer.SEMI then None else Some (parse_expr st) in
+      let e = if peek st == Lexer.SEMI then None else Some (parse_expr st) in
       expect st Lexer.SEMI "';'";
       [ mk st pos (Ast.Return e) ]
   | Lexer.KW_del -> (
@@ -287,7 +305,7 @@ and parse_if st pos =
   let then_b = parse_block st in
   let else_b =
     if accept st Lexer.KW_else then
-      if peek st = Lexer.KW_if then [ parse_if st (peek_pos st) ] else parse_block st
+      if peek st == Lexer.KW_if then [ parse_if st (peek_pos st) ] else parse_block st
     else []
   in
   mk st pos (Ast.If (cond, then_b, else_b))
@@ -328,10 +346,7 @@ and parse_simple_stmt st pos =
 and parse_block st : Ast.block =
   expect st Lexer.LBRACE "'{'";
   let rec go acc =
-    if peek st = Lexer.RBRACE then begin
-      advance st;
-      List.rev acc
-    end
+    if accept st Lexer.RBRACE then List.rev acc
     else go (List.rev_append (parse_stmt st) acc)
   in
   go []
@@ -360,8 +375,7 @@ let parse_params st =
 
 (** Parse a complete NFL program from source text. *)
 let program src : Ast.program =
-  let toks = Array.of_list (Lexer.tokens src) in
-  let st = make toks in
+  let st = make src in
   let globals = ref [] in
   let funcs = ref [] in
   let main = ref None in

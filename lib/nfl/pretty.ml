@@ -34,19 +34,40 @@ let prec = function
   | Ast.Add | Ast.Sub -> 8
   | Ast.Mul | Ast.Div | Ast.Mod -> 9
 
-let rec expr ?(ctx = 0) e =
-  let atom s = s in
-  let paren p s = if p < ctx then "(" ^ s ^ ")" else s in
+(* Expressions are written straight into a buffer: [ctx] is the
+   ambient precedence, and a sub-expression binding looser than it is
+   parenthesized. *)
+let rec add_expr b ctx e =
+  let str = Buffer.add_string b in
+  let paren p body =
+    if p < ctx then begin
+      Buffer.add_char b '(';
+      body ();
+      Buffer.add_char b ')'
+    end
+    else body ()
+  in
+  let list l = List.iteri (fun i e -> if i > 0 then str ", "; add_expr b 0 e) l in
   match e with
-  | Ast.Int n -> atom (string_of_int n)
-  | Ast.Bool true -> atom "true"
-  | Ast.Bool false -> atom "false"
-  | Ast.Str s -> atom (Printf.sprintf "%S" s)
-  | Ast.Var x -> atom x
-  | Ast.Tuple es -> atom ("(" ^ String.concat ", " (List.map (expr ~ctx:0) es) ^ ")")
-  | Ast.List_lit es -> atom ("[" ^ String.concat ", " (List.map (expr ~ctx:0) es) ^ "]")
-  | Ast.Dict_lit -> atom "{}"
-  | Ast.Binop (op, a, b) ->
+  | Ast.Int n -> str (string_of_int n)
+  | Ast.Bool true -> str "true"
+  | Ast.Bool false -> str "false"
+  | Ast.Str s ->
+      (* [%S] quoting, which the lexer reads back byte for byte *)
+      Buffer.add_char b '"';
+      str (String.escaped s);
+      Buffer.add_char b '"'
+  | Ast.Var x -> str x
+  | Ast.Tuple es ->
+      Buffer.add_char b '(';
+      list es;
+      Buffer.add_char b ')'
+  | Ast.List_lit es ->
+      Buffer.add_char b '[';
+      list es;
+      Buffer.add_char b ']'
+  | Ast.Dict_lit -> str "{}"
+  | Ast.Binop (op, x, y) ->
       (* Match the parser's associativity: [&&]/[||] are right-
          associative, comparisons don't chain, everything else is
          left-associative. *)
@@ -59,73 +80,211 @@ let rec expr ?(ctx = 0) e =
         | Ast.Shr ->
             (p, p + 1)
       in
-      paren p (expr ~ctx:lctx a ^ " " ^ binop_str op ^ " " ^ expr ~ctx:rctx b)
-  | Ast.Unop (Ast.Not, e) -> paren 3 ("not " ^ expr ~ctx:5 e)
-  | Ast.Unop (Ast.Neg, e) -> paren 10 ("-" ^ expr ~ctx:10 e)
-  | Ast.Index (a, k) -> atom (expr ~ctx:11 a ^ "[" ^ expr ~ctx:0 k ^ "]")
-  | Ast.Field (a, f) -> atom (expr ~ctx:11 a ^ "." ^ f)
-  | Ast.Call (f, args) -> atom (f ^ "(" ^ String.concat ", " (List.map (expr ~ctx:0) args) ^ ")")
-  | Ast.Mem (k, d) -> paren 4 (expr ~ctx:5 k ^ " in " ^ expr ~ctx:5 d)
+      paren p (fun () ->
+          add_expr b lctx x;
+          Buffer.add_char b ' ';
+          str (binop_str op);
+          Buffer.add_char b ' ';
+          add_expr b rctx y)
+  | Ast.Unop (Ast.Not, e) ->
+      paren 3 (fun () ->
+          str "not ";
+          add_expr b 5 e)
+  | Ast.Unop (Ast.Neg, e) ->
+      paren 10 (fun () ->
+          Buffer.add_char b '-';
+          add_expr b 10 e)
+  | Ast.Index (x, k) ->
+      add_expr b 11 x;
+      Buffer.add_char b '[';
+      add_expr b 0 k;
+      Buffer.add_char b ']'
+  | Ast.Field (x, f) ->
+      add_expr b 11 x;
+      Buffer.add_char b '.';
+      str f
+  | Ast.Call (f, args) ->
+      str f;
+      Buffer.add_char b '(';
+      list args;
+      Buffer.add_char b ')'
+  | Ast.Mem (k, d) ->
+      paren 4 (fun () ->
+          add_expr b 5 k;
+          str " in ";
+          add_expr b 5 d)
 
-let lvalue = function
-  | Ast.L_var x -> x
-  | Ast.L_index (d, k) -> d ^ "[" ^ expr k ^ "]"
-  | Ast.L_field (p, f) -> p ^ "." ^ f
+let expr ?(ctx = 0) e =
+  let b = Buffer.create 32 in
+  add_expr b ctx e;
+  Buffer.contents b
 
-(** [stmt ~keep buf indent s]: when [keep s.sid] is false the statement
-    is rendered as a comment line (slice display). *)
-let rec stmt ~keep buf indent s =
-  let pad = String.make indent ' ' in
-  let line fmt = Printf.ksprintf (fun str -> Buffer.add_string buf (pad ^ str ^ "\n")) fmt in
-  let kept = keep s.Ast.sid in
-  let mark str = if kept then str else "# [pruned] " ^ str in
-  match s.Ast.kind with
-  | Ast.Assign (lv, e) -> line "%s" (mark (lvalue lv ^ " = " ^ expr e ^ ";"))
-  | Ast.Expr e -> line "%s" (mark (expr e ^ ";"))
-  | Ast.Return None -> line "%s" (mark "return;")
-  | Ast.Return (Some e) -> line "%s" (mark ("return " ^ expr e ^ ";"))
-  | Ast.Delete (d, k) -> line "%s" (mark ("del " ^ d ^ "[" ^ expr k ^ "];"))
-  | Ast.Pass -> line "%s" (mark "pass;")
-  | Ast.If (c, b1, b2) ->
-      line "%s" (mark ("if (" ^ expr c ^ ") {"));
-      block ~keep buf (indent + 2) b1;
-      if b2 <> [] then begin
-        line "} else {";
-        block ~keep buf (indent + 2) b2
-      end;
-      line "}"
-  | Ast.While (c, b) ->
-      line "%s" (mark ("while (" ^ expr c ^ ") {"));
-      block ~keep buf (indent + 2) b;
-      line "}"
-  | Ast.For_in (x, e, b) ->
-      line "%s" (mark ("for " ^ x ^ " in " ^ expr e ^ " {"));
-      block ~keep buf (indent + 2) b;
-      line "}"
+let add_lvalue b = function
+  | Ast.L_var x -> Buffer.add_string b x
+  | Ast.L_index (d, k) ->
+      Buffer.add_string b d;
+      Buffer.add_char b '[';
+      add_expr b 0 k;
+      Buffer.add_char b ']'
+  | Ast.L_field (p, f) ->
+      Buffer.add_string b p;
+      Buffer.add_char b '.';
+      Buffer.add_string b f
 
-and block ~keep buf indent b = List.iter (stmt ~keep buf indent) b
+let lvalue lv =
+  let b = Buffer.create 16 in
+  add_lvalue b lv;
+  Buffer.contents b
+
+(* The printer and the renumbering share one walk, so the statement
+   ids and positions [layout] assigns are by construction the ones a
+   parse of the printed text would: the parser numbers statements in
+   source pre-order from 1 and places each at its first token, which
+   the printer writes at column [indent + 1] of its own line. Every
+   line goes through [emit], which counts it; no line holds a raw
+   newline ([%S] quoting escapes those inside string literals). *)
+type layout = {
+  buf : Buffer.t;
+  keep : int -> bool;  (** statement ids to print as code, not as pruned comments *)
+  gen : Ast.idgen;
+  mutable line : int;  (** number of the next line written *)
+}
+
+(* One line: the indentation, whatever [write] adds, the newline. *)
+let emit lay indent write =
+  for _ = 1 to indent do
+    Buffer.add_char lay.buf ' '
+  done;
+  write ();
+  Buffer.add_char lay.buf '\n';
+  lay.line <- lay.line + 1
+
+let line lay indent str = emit lay indent (fun () -> Buffer.add_string lay.buf str)
+
+(** [stmt lay indent s] prints [s] and returns it renumbered: its
+    pre-order id and the position the text gives it. When [lay.keep
+    s.sid] is false the statement is rendered as a comment line (slice
+    display). *)
+let rec stmt lay indent (s : Ast.stmt) : Ast.stmt =
+  let sid = Ast.fresh_sid lay.gen in
+  let pos = { Ast.line = lay.line; col = indent + 1 } in
+  let b = lay.buf in
+  let str = Buffer.add_string b in
+  (* The statement's own line. *)
+  let head write =
+    emit lay indent (fun () ->
+        if not (lay.keep s.Ast.sid) then str "# [pruned] ";
+        write ())
+  in
+  let close () = line lay indent "}" in
+  let kind =
+    match s.Ast.kind with
+    | Ast.Assign (lv, e) ->
+        head (fun () ->
+            add_lvalue b lv;
+            str " = ";
+            add_expr b 0 e;
+            str ";");
+        s.Ast.kind
+    | Ast.Expr e ->
+        head (fun () ->
+            add_expr b 0 e;
+            str ";");
+        s.Ast.kind
+    | Ast.Return None ->
+        head (fun () -> str "return;");
+        s.Ast.kind
+    | Ast.Return (Some e) ->
+        head (fun () ->
+            str "return ";
+            add_expr b 0 e;
+            str ";");
+        s.Ast.kind
+    | Ast.Delete (d, k) ->
+        head (fun () ->
+            str "del ";
+            str d;
+            str "[";
+            add_expr b 0 k;
+            str "];");
+        s.Ast.kind
+    | Ast.Pass ->
+        head (fun () -> str "pass;");
+        s.Ast.kind
+    | Ast.If (c, b1, b2) ->
+        head (fun () ->
+            str "if (";
+            add_expr b 0 c;
+            str ") {");
+        let b1 = block lay (indent + 2) b1 in
+        let b2 =
+          match b2 with
+          | [] -> []
+          | _ ->
+              line lay indent "} else {";
+              block lay (indent + 2) b2
+        in
+        close ();
+        Ast.If (c, b1, b2)
+    | Ast.While (c, body) ->
+        head (fun () ->
+            str "while (";
+            add_expr b 0 c;
+            str ") {");
+        let body = block lay (indent + 2) body in
+        close ();
+        Ast.While (c, body)
+    | Ast.For_in (x, e, body) ->
+        head (fun () ->
+            str "for ";
+            str x;
+            str " in ";
+            add_expr b 0 e;
+            str " {");
+        let body = block lay (indent + 2) body in
+        close ();
+        Ast.For_in (x, e, body)
+  in
+  { Ast.sid; pos; kind }
+
+and block lay indent b = List.map (stmt lay indent) b
+
+let walk ~keep (p : Ast.program) =
+  let lay = { buf = Buffer.create 1024; keep; gen = Ast.idgen (); line = 1 } in
+  let globals = block lay 0 p.globals in
+  let funcs =
+    List.map
+      (fun (f : Ast.func) ->
+        line lay 0 "";
+        line lay 0 (Printf.sprintf "def %s(%s) {" f.fname (String.concat ", " f.params));
+        let body = block lay 2 f.body in
+        line lay 0 "}";
+        { f with body })
+      p.funcs
+  in
+  line lay 0 "";
+  line lay 0 "main {";
+  let main = block lay 2 p.main in
+  line lay 0 "}";
+  ({ Ast.globals; funcs; main; next_sid = lay.gen.Ast.next }, Buffer.contents lay.buf)
+
+module Iset = Set.Make (Int)
 
 (** Render a whole program. [slice], when given, is the set of statement
     ids to keep; everything else prints as a pruned comment. *)
 let program ?slice (p : Ast.program) =
   let keep =
-    match slice with None -> fun _ -> true | Some ids -> fun sid -> List.mem sid ids
+    match slice with
+    | None -> fun _ -> true
+    | Some ids ->
+        let ids = Iset.of_list ids in
+        fun sid -> Iset.mem sid ids
   in
-  let buf = Buffer.create 1024 in
-  List.iter (stmt ~keep buf 0) p.globals;
-  List.iter
-    (fun (f : Ast.func) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\ndef %s(%s) {\n" f.fname (String.concat ", " f.params));
-      block ~keep buf 2 f.body;
-      Buffer.add_string buf "}\n")
-    p.funcs;
-  Buffer.add_string buf "\nmain {\n";
-  block ~keep buf 2 p.main;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  snd (walk ~keep p)
+
+let layout p = walk ~keep:(fun _ -> true) p
 
 let stmt_to_string (s : Ast.stmt) =
-  let buf = Buffer.create 64 in
-  stmt ~keep:(fun _ -> true) buf 0 s;
-  String.trim (Buffer.contents buf)
+  let lay = { buf = Buffer.create 64; keep = (fun _ -> true); gen = Ast.idgen (); line = 1 } in
+  ignore (stmt lay 0 s);
+  String.trim (Buffer.contents lay.buf)

@@ -96,13 +96,11 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
           ~wrap:(fun c -> A_canon c)
           ~unwrap:(function A_canon c -> Some c | _ -> None)
           (fun () ->
-            (* [canonical_stage], decomposed so the canonical text is
-               produced as a by-product: pretty-parse is a fixpoint, so
-               this text is also what the reparsed program prints as. *)
-            let text =
-              Nfl.Pretty.program (Nfactor.Extract.ensure_canonical (parse_input ()))
-            in
-            (Nfl.Parser.program text, text)))
+            (* [canonical_stage] with the canonical text kept: the
+               printer's layout numbers the program as parsing that
+               text would (a disk hit does parse it), and the tests
+               prove the two equal, so cold and warm runs agree. *)
+            Nfl.Pretty.layout (Nfactor.Extract.ensure_canonical (parse_input ()))))
   in
   (* Downstream keys chain from the canonical *content*: cosmetically
      different sources that canonicalize identically share every

@@ -22,17 +22,14 @@ let compute ?(entry_defs = Sset.empty) g =
       match Cfg.stmt_of g n with
       | None -> ()
       | Some s ->
-          let used = Dataflow.Defs_uses.uses s in
           let srcs =
             Sset.fold
               (fun v acc ->
-                Dataflow.Reaching.Dset.fold
-                  (fun d acc ->
-                    if d.Dataflow.Reaching.Def.sid = 0 then acc
-                    else Nset.add (Cfg.Stmt d.Dataflow.Reaching.Def.sid) acc)
-                  (Dataflow.Reaching.defs_reaching reaching n v)
-                  acc)
-              used Nset.empty
+                List.fold_left
+                  (fun acc sid -> if sid = 0 then acc else Nset.add (Cfg.Stmt sid) acc)
+                  acc
+                  (Dataflow.Reaching.defs_reaching reaching n v))
+              (Dataflow.Defs_uses.uses s) Nset.empty
           in
           if not (Nset.is_empty srcs) then deps := Nmap.add n srcs !deps)
     (Cfg.nodes g);

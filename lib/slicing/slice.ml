@@ -8,6 +8,7 @@
 
 module Nset = Cfg.Nset
 module Sset = Nfl.Ast.Sset
+module Iset = Set.Make (Int)
 
 type ctx = { block : Nfl.Ast.block; cfg : Cfg.t; pdg : Pdg.t }
 
@@ -44,24 +45,29 @@ let backward_union ctx ~criteria =
 (** Restrict a block to the statements in [keep] (plus enclosing branch
     statements, which [keep] must already contain if the closure came
     from {!backward}). Produces a runnable residual program block. *)
-let rec restrict_block keep (block : Nfl.Ast.block) =
-  List.filter_map
-    (fun (s : Nfl.Ast.stmt) ->
-      let kept = List.mem s.Nfl.Ast.sid keep in
-      match s.Nfl.Ast.kind with
-      | Nfl.Ast.If (c, b1, b2) ->
-          let b1' = restrict_block keep b1 and b2' = restrict_block keep b2 in
-          if kept || b1' <> [] || b2' <> [] then
-            Some { s with Nfl.Ast.kind = Nfl.Ast.If (c, b1', b2') }
-          else None
-      | Nfl.Ast.While (c, b) ->
-          let b' = restrict_block keep b in
-          if kept || b' <> [] then Some { s with Nfl.Ast.kind = Nfl.Ast.While (c, b') } else None
-      | Nfl.Ast.For_in (x, e, b) ->
-          let b' = restrict_block keep b in
-          if kept || b' <> [] then Some { s with Nfl.Ast.kind = Nfl.Ast.For_in (x, e, b') }
-          else None
-      | Nfl.Ast.Assign _ | Nfl.Ast.Return _ | Nfl.Ast.Expr _ | Nfl.Ast.Delete _ | Nfl.Ast.Pass
-        ->
-          if kept then Some s else None)
-    block
+let restrict_block keep (block : Nfl.Ast.block) =
+  let keep = Iset.of_list keep in
+  let rec restrict block =
+    List.filter_map
+      (fun (s : Nfl.Ast.stmt) ->
+        let kept = Iset.mem s.Nfl.Ast.sid keep in
+        match s.Nfl.Ast.kind with
+        | Nfl.Ast.If (c, b1, b2) ->
+            let b1' = restrict b1 and b2' = restrict b2 in
+            if kept || b1' <> [] || b2' <> [] then
+              Some { s with Nfl.Ast.kind = Nfl.Ast.If (c, b1', b2') }
+            else None
+        | Nfl.Ast.While (c, b) ->
+            let b' = restrict b in
+            if kept || b' <> [] then Some { s with Nfl.Ast.kind = Nfl.Ast.While (c, b') }
+            else None
+        | Nfl.Ast.For_in (x, e, b) ->
+            let b' = restrict b in
+            if kept || b' <> [] then Some { s with Nfl.Ast.kind = Nfl.Ast.For_in (x, e, b') }
+            else None
+        | Nfl.Ast.Assign _ | Nfl.Ast.Return _ | Nfl.Ast.Expr _ | Nfl.Ast.Delete _
+        | Nfl.Ast.Pass ->
+            if kept then Some s else None)
+      block
+  in
+  restrict block

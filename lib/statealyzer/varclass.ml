@@ -15,6 +15,7 @@
     union of backward slices from every [send]) mentions it. *)
 
 module Sset = Nfl.Ast.Sset
+module Iset = Set.Make (Int)
 
 type features = {
   persistent : bool;  (** defined at top level, outlives the packet loop *)
@@ -103,10 +104,11 @@ let analyze (p : Nfl.Ast.program) =
   let send_sids = Slicing.Slice.find_stmts ctx Nfl.Builtins.is_pkt_output_stmt in
   let pkt_slice = Slicing.Slice.backward_union ctx ~criteria:send_sids in
   (* Variables mentioned by slice statements. *)
+  let in_slice = Iset.of_list pkt_slice in
   let slice_vars = ref Sset.empty in
   Nfl.Ast.iter_stmts
     (fun s ->
-      if List.mem s.Nfl.Ast.sid pkt_slice then
+      if Iset.mem s.Nfl.Ast.sid in_slice then
         slice_vars :=
           Sset.union !slice_vars
             (Sset.union (Dataflow.Defs_uses.uses s) (Dataflow.Defs_uses.defs s)))

@@ -50,10 +50,13 @@ dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > syn
 dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > synth_warm.json
 grep -q '"misses": 0' synth_warm.json
 grep -q '"hit_rate_pct": 100.0' synth_warm.json
-# model_md5 lines must agree between the cold and the warm run
+# model_md5 lines must agree between the cold and the warm run, and the
+# cold run must reproduce the committed corpus digests: a front-end
+# change that altered every model alike would pass the first check.
 grep '"model_md5"' synth_cold.json > cold_models.txt
 grep '"model_md5"' synth_warm.json > warm_models.txt
 cmp cold_models.txt warm_models.txt
+cmp cold_models.txt test/data/corpus_model_md5.txt
 rm -f synth_cold.json synth_warm.json cold_models.txt warm_models.txt
 
 # Model interchange gates: the current format exports and re-imports

@@ -31,11 +31,7 @@ let test_reaching_kill () =
   let g = Cfg.of_block b in
   let sol = Dataflow.Reaching.solve g in
   let defs = Dataflow.Reaching.defs_reaching sol (Cfg.Stmt 3) "x" in
-  Alcotest.(check (list int)) "only s2"
-    [ 2 ]
-    (List.map
-       (fun d -> d.Dataflow.Reaching.Def.sid)
-       (Dataflow.Reaching.Dset.elements defs))
+  Alcotest.(check (list int)) "only s2" [ 2 ] defs
 
 (* ids: 1: if(c){2: x=1;}else{3: x=2;} 4: y=x; — both defs reach. *)
 let test_reaching_join () =
@@ -43,12 +39,7 @@ let test_reaching_join () =
   let g = Cfg.of_block b in
   let sol = Dataflow.Reaching.solve g in
   let defs = Dataflow.Reaching.defs_reaching sol (Cfg.Stmt 4) "x" in
-  Alcotest.(check (list int)) "both defs"
-    [ 2; 3 ]
-    (List.sort compare
-       (List.map
-          (fun d -> d.Dataflow.Reaching.Def.sid)
-          (Dataflow.Reaching.Dset.elements defs)))
+  Alcotest.(check (list int)) "both defs" [ 2; 3 ] (List.sort compare defs)
 
 (* Weak updates accumulate: 1: d[a]=1; 2: d[b]=2; 3: y=d[k]; *)
 let test_reaching_weak_updates_accumulate () =
@@ -56,12 +47,7 @@ let test_reaching_weak_updates_accumulate () =
   let g = Cfg.of_block b in
   let sol = Dataflow.Reaching.solve g in
   let defs = Dataflow.Reaching.defs_reaching sol (Cfg.Stmt 3) "d" in
-  Alcotest.(check (list int)) "both container writes reach"
-    [ 1; 2 ]
-    (List.sort compare
-       (List.map
-          (fun d -> d.Dataflow.Reaching.Def.sid)
-          (Dataflow.Reaching.Dset.elements defs)))
+  Alcotest.(check (list int)) "both container writes reach" [ 1; 2 ] (List.sort compare defs)
 
 (* Loop-carried: 1: while(c){ 2: x=x+1; } — def at s2 reaches s2 again. *)
 let test_reaching_loop_carried () =
@@ -69,20 +55,14 @@ let test_reaching_loop_carried () =
   let g = Cfg.of_block b in
   let sol = Dataflow.Reaching.solve g in
   let defs = Dataflow.Reaching.defs_reaching sol (Cfg.Stmt 2) "x" in
-  let sids =
-    List.sort compare
-      (List.map (fun d -> d.Dataflow.Reaching.Def.sid) (Dataflow.Reaching.Dset.elements defs))
-  in
-  Alcotest.(check (list int)) "loop carried" [ 2 ] sids
+  Alcotest.(check (list int)) "loop carried" [ 2 ] (List.sort compare defs)
 
 let test_reaching_entry_defs () =
   let b = parse_main "main { y = x; }" in
   let g = Cfg.of_block b in
   let sol = Dataflow.Reaching.solve ~entry_defs:(Sset.singleton "x") g in
   let defs = Dataflow.Reaching.defs_reaching sol (Cfg.Stmt 1) "x" in
-  Alcotest.(check (list int)) "pseudo-def id 0"
-    [ 0 ]
-    (List.map (fun d -> d.Dataflow.Reaching.Def.sid) (Dataflow.Reaching.Dset.elements defs))
+  Alcotest.(check (list int)) "pseudo-def id 0" [ 0 ] defs
 
 (* ids: 1: x=1; 2: y=x; 3: z=y; — liveness. *)
 let test_liveness_chain () =
