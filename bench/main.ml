@@ -109,7 +109,7 @@ let table2 () =
   print_endline Nfactor.Report.header;
   List.iter
     (fun (e : Nfs.Corpus.entry) ->
-      let _, row =
+      let row =
         Nfactor.Report.measure ~se_budget:1000 ~ex:(extract e.Nfs.Corpus.name)
           ~name:e.Nfs.Corpus.name ~source:(e.Nfs.Corpus.source ()) (e.Nfs.Corpus.program ())
       in
@@ -213,7 +213,8 @@ let scaling () =
   List.iter
     (fun rules ->
       let p = Nfs.Snort_lite.program_with ~rules () in
-      let ex = Nfactor.Extract.run ~name:"snort" p in
+      (* A fresh manager: its own solver memo, as a first synthesis. *)
+      let ex = Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"snort" p in
       let budget = { Symexec.Explore.default_config with Symexec.Explore.max_paths = 1000 } in
       let (_, orig_stats), orig_t =
         Nfactor.Report.time (fun () -> Nfactor.Report.explore_original ~config:budget ex)
@@ -910,22 +911,28 @@ let explore_bench ~smoke () =
   section "Worklist explorer: join-point path merging + eager UNSAT pruning";
   Fmt.pr "%-18s %6s %6s %6s %6s %8s | %6s %6s %8s | %s@." "NF" "paths" "merges" "prunes"
     "calls" "expl(ms)" "naive" "calls" "naive(ms)" "model";
-  let explore_ms (ex : Nfactor.Extract.result) =
-    try List.assoc "explore" ex.Nfactor.Extract.stage_times *. 1e3 with Not_found -> 0.
+  (* A cold extraction and its explore pass's wall clock. *)
+  let extract_timed ?config ~merge ~name p =
+    let m = Pipeline.Manager.create () in
+    let ex = Pipeline.Manager.extract ?config ~merge m ~name p in
+    let explore =
+      List.find (fun t -> t.Pipeline.Trace.pass = "explore") (Pipeline.Manager.traces m)
+    in
+    (ex, explore.Pipeline.Trace.wall_s *. 1e3)
   in
   let rows =
     List.map
       (fun (e : Nfs.Corpus.entry) ->
         let name = e.Nfs.Corpus.name in
         let p () = e.Nfs.Corpus.program () in
-        let merged = Nfactor.Extract.run ~merge:true ~name (p ()) in
+        let merged, merged_ms = extract_timed ~merge:true ~name (p ()) in
         (* The naive enumeration needs room for dpi's 2^13 paths. *)
         let naive_config =
           if name = Nfs.Dpi.name then
             { Symexec.Explore.default_config with Symexec.Explore.max_paths = 20_000 }
           else Symexec.Explore.default_config
         in
-        let naive = Nfactor.Extract.run ~config:naive_config ~merge:false ~name (p ()) in
+        let naive, naive_ms = extract_timed ~config:naive_config ~merge:false ~name (p ()) in
         let ms = merged.Nfactor.Extract.stats and ns = naive.Nfactor.Extract.stats in
         (* Below the profitability threshold the engines must agree
            byte-for-byte; where merging fired, observational equality
@@ -958,9 +965,9 @@ let explore_bench ~smoke () =
             ex_paths = ms.Symexec.Explore.paths;
             ex_merges = ms.Symexec.Explore.merges;
             ex_decides = ms.Symexec.Explore.decides;
-            ex_merged_ms = explore_ms merged;
+            ex_merged_ms = merged_ms;
             ex_naive_paths = ns.Symexec.Explore.paths;
-            ex_naive_ms = explore_ms naive;
+            ex_naive_ms = naive_ms;
             ex_model_equal = model_equal;
           }
         in
@@ -1014,6 +1021,8 @@ let micro_tests () =
     let pkts = Packet.Traffic.random_stream ~seed:9 ~n:100 () in
     fun () -> ignore (Nfactor.Equiv.differential lb_ex ~pkts)
   in
+  (* Rows that extract do so through a fresh manager each time: nothing
+     is served from a cache and every exploration starts a new memo. *)
   Test.make_grouped ~name:"nfactor"
     [
       (* Table 1 *)
@@ -1023,9 +1032,11 @@ let micro_tests () =
       Test.make ~name:"table2/slicing:balance" (Staged.stage (fun () -> slice_only balance_p ()));
       (* Table 2, SE-on-slice column (full extraction includes it) *)
       Test.make ~name:"table2/extract:snort"
-        (Staged.stage (fun () -> ignore (Nfactor.Extract.run ~name:"snort" snort_p)));
+        (Staged.stage (fun () ->
+             ignore (Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"snort" snort_p)));
       Test.make ~name:"table2/extract:balance"
-        (Staged.stage (fun () -> ignore (Nfactor.Extract.run ~name:"balance" balance_p)));
+        (Staged.stage (fun () ->
+             ignore (Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"balance" balance_p)));
       (* Table 2, SE-on-original column (budget-capped, like ">1000") *)
       Test.make ~name:"table2/se-orig:balance"
         (Staged.stage (explore_orig balance_ex (small_budget 1000)));
@@ -1036,7 +1047,9 @@ let micro_tests () =
         (Staged.stage (fun () ->
              ignore
                (Nfactor.Model.to_string
-                  (Nfactor.Extract.run ~name:"balance" balance_p).Nfactor.Extract.model)));
+                  (Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"balance"
+                     balance_p)
+                    .Nfactor.Extract.model)));
       (* Accuracy *)
       Test.make ~name:"accuracy/differential-100:lb" (Staged.stage differential_100);
       (* Section-4 applications *)
@@ -1065,13 +1078,13 @@ let micro_tests () =
       Test.make ~name:"ablation/loop-bound-1:balance"
         (Staged.stage (fun () ->
              ignore
-               (Nfactor.Extract.run
+               (Pipeline.Manager.extract (Pipeline.Manager.create ())
                   ~config:{ Symexec.Explore.default_config with Symexec.Explore.loop_bound = 1 }
                   ~name:"balance" balance_p)));
       Test.make ~name:"ablation/loop-bound-4:balance"
         (Staged.stage (fun () ->
              ignore
-               (Nfactor.Extract.run
+               (Pipeline.Manager.extract (Pipeline.Manager.create ())
                   ~config:{ Symexec.Explore.default_config with Symexec.Explore.loop_bound = 4 }
                   ~name:"balance" balance_p)));
     ]

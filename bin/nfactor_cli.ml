@@ -10,25 +10,39 @@
 
 open Cmdliner
 
+(* Every user-facing failure prints [error: ...] and exits 1. *)
+let fail fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "error: %s@." msg;
+      exit 1)
+    fmt
+
+(* The one reader and the one writer for user files: a missing,
+   unreadable or unwritable path (a directory, a missing parent) is an
+   error, not an uncaught [Sys_error]. *)
+let file_error path msg =
+  if String.starts_with ~prefix:path msg then fail "%s" msg else fail "%s: %s" path msg
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> file_error path msg
+
+let write_file path text =
+  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  with Sys_error msg -> file_error path msg
+
 let load_nf arg =
   match Nfs.Corpus.find arg with
-  | Some e -> Ok (arg, e.Nfs.Corpus.source (), e.Nfs.Corpus.program ())
+  | Some e -> (arg, e.Nfs.Corpus.source (), e.Nfs.Corpus.program ())
   | None -> (
-      if Sys.file_exists arg then
-        let ic = open_in arg in
-        let n = in_channel_length ic in
-        let src = really_input_string ic n in
-        close_in ic;
-        match Nfl.Parser.program src with
-        | p -> Ok (Filename.remove_extension (Filename.basename arg), src, p)
-        | exception Nfl.Parser.Error (m, pos) ->
-            Error (Printf.sprintf "%s:%d:%d: %s" arg pos.Nfl.Ast.line pos.Nfl.Ast.col m)
-        | exception Nfl.Lexer.Error (m, pos) ->
-            Error (Printf.sprintf "%s:%d:%d: %s" arg pos.Nfl.Ast.line pos.Nfl.Ast.col m)
-      else
-        Error
-          (Printf.sprintf "unknown NF %S (corpus: %s)" arg
-             (String.concat ", " Nfs.Corpus.names)))
+      if not (Sys.file_exists arg) then
+        fail "unknown NF %S (corpus: %s)" arg (String.concat ", " Nfs.Corpus.names);
+      let src = read_file arg in
+      match Nfl.Parser.program src with
+      | p -> (Filename.remove_extension (Filename.basename arg), src, p)
+      | exception (Nfl.Parser.Error (m, pos) | Nfl.Lexer.Error (m, pos)) ->
+          fail "%s:%d:%d: %s" arg pos.Nfl.Ast.line pos.Nfl.Ast.col m)
 
 let nf_arg =
   let doc = "NF to analyze: a corpus name or a path to an .nfl file." in
@@ -48,11 +62,22 @@ let cache_dir_arg =
 let manager ?cache_dir () = Pipeline.Manager.create ?cache_dir ()
 
 let with_nf f arg =
-  match load_nf arg with
-  | Ok (name, src, p) -> f name src p
-  | Error msg ->
-      Fmt.epr "error: %s@." msg;
-      exit 1
+  let name, src, p = load_nf arg in
+  f name src p
+
+(* Extract every named NF through one manager: an NF named twice is
+   synthesized once. *)
+let extract_all ?cache_dir names =
+  let m = manager ?cache_dir () in
+  List.map
+    (fun n ->
+      let name, _, p = load_nf n in
+      (name, Pipeline.Manager.extract m ~name p))
+    names
+
+(* A verifier/chain node: name, model and extraction-time store. *)
+let node_of (name, (ex : Nfactor.Extract.result)) =
+  (name, ex.Nfactor.Extract.model, Nfactor.Model_interp.initial_store ex)
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                           *)
@@ -133,11 +158,6 @@ let pp_telemetry ?m name (ex : Nfactor.Extract.result) =
          (List.map
             (fun (d, n) -> Printf.sprintf "%d:%d" d n)
             (Imap.bindings s.fork_depths)));
-  Fmt.pr "  stage wall-clock    %s@."
-    (String.concat ", "
-       (List.map
-          (fun (stage, t) -> Printf.sprintf "%s %.2fms" stage (t *. 1e3))
-          ex.Nfactor.Extract.stage_times));
   Option.iter pp_traces m
 
 let stats_flag =
@@ -189,7 +209,7 @@ let report_cmd =
       (fun (e : Nfs.Corpus.entry) ->
         let name = e.Nfs.Corpus.name in
         let ex = Pipeline.Manager.extract_source m ~name (e.Nfs.Corpus.source ()) in
-        let _, row =
+        let row =
           Nfactor.Report.measure ~se_budget:budget ~ex ~name
             ~source:(e.Nfs.Corpus.source ()) (e.Nfs.Corpus.program ())
         in
@@ -211,7 +231,12 @@ let accuracy_cmd =
         let ex = Pipeline.Manager.extract (manager ?cache_dir ()) ~name p in
         let v =
           match trace with
-          | Some file -> Nfactor.Equiv.differential ex ~pkts:(Packet.Codec.load ~file)
+          | Some file ->
+              let pkts =
+                try Packet.Codec.of_string (read_file file)
+                with Invalid_argument msg -> fail "%s: %s" file msg
+              in
+              Nfactor.Equiv.differential ex ~pkts
           | None -> Nfactor.Equiv.random_testing ~seed ~trials ex
         in
         if Nfactor.Equiv.ok v then
@@ -244,7 +269,7 @@ let gen_trace_cmd =
       | Some f -> Packet.Traffic.flow_stream ~seed ~flows:f ~data_pkts:3 ()
       | None -> Packet.Traffic.random_stream ~seed ~n ()
     in
-    Packet.Codec.save ~file:out pkts;
+    write_file out (Packet.Codec.to_string pkts);
     Fmt.pr "%d packet(s) written to %s@." (List.length pkts) out
   in
   Cmd.v (Cmd.info "gen-trace" ~doc:"Generate a reproducible packet trace file.")
@@ -264,79 +289,77 @@ let testgen_cmd =
   Cmd.v (Cmd.info "testgen" ~doc:"Generate model-covering test packets (BUZZ-style).")
     Term.(const run $ cache_dir_arg $ nf_arg)
 
-(* One packet source per traffic command, shared by the timed run and
-   by --check: seeded uniform random packets, or the churn workload
-   under --churn. Each call restarts the stream from [seed]. *)
-let packet_source ~churn ~seed =
-  match churn with
-  | Some concurrent ->
-      let ch = Packet.Traffic.churn_gen ~concurrent ~seed () in
-      fun () -> Packet.Traffic.churn_next ch
-  | None ->
-      let rng = Packet.Rng.create seed in
-      fun () -> Packet.Traffic.random_pkt rng Packet.Traffic.default_profile
+(* The traffic flags of [run] and [chain run], defined once and
+   checked as they are parsed. *)
+type traffic = { n : int; seed : int; capacity : int option; shards : int; churn : int option }
 
-let packet_stream ~churn ~seed ~n =
-  let next = packet_source ~churn ~seed in
-  Array.init n (fun _ -> next ())
-
-(* Argument checks shared by [run] and [chain run]. *)
-let check_traffic_args ~shards ~churn ~capacity =
-  let reject msg =
-    Fmt.epr "error: %s@." msg;
-    exit 1
-  in
-  if shards < 1 then reject "--shards must be >= 1";
-  (match churn with Some c when c < 1 -> reject "--churn must be >= 1" | _ -> ());
-  match capacity with
-  | Some c when c < 1 -> reject "--capacity must be >= 1"
-  | _ -> ()
-
-let run_cmd =
+let traffic_term =
   let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Packets to replay.") in
   let seed = Arg.(value & opt int 2016 & info [ "seed" ] ~doc:"Traffic seed.") in
   let capacity =
     Arg.(value & opt (some int) None & info [ "capacity" ] ~doc:"Per-flow-table capacity bound (LRU eviction). Unbounded by default.")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Print engine counters as JSON.") in
-  let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Compare against a reference on the same traffic: the interpreter for a single engine, a single engine for a sharded run (outputs, final state, counters).")
-  in
   let shards =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Drive the sharded multicore dataplane with N shard domains; 1 (default) runs the single-threaded engine.")
+    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Run across N shard domains (a chain only when its fused plan's shard spec allows it); 1 (default) runs the single-threaded engine.")
   in
   let churn =
     Arg.(value & opt (some int) None & info [ "churn" ] ~docv:"FLOWS" ~doc:"Replace uniform random traffic with the churn workload: a constant pool of FLOWS concurrent conversations with unbounded turnover.")
   in
-  let run n seed capacity json check shards churn cache_dir arg =
+  let make n seed capacity shards churn =
+    if shards < 1 then fail "--shards must be >= 1";
+    (match churn with Some c when c < 1 -> fail "--churn must be >= 1" | _ -> ());
+    (match capacity with Some c when c < 1 -> fail "--capacity must be >= 1" | _ -> ());
+    { n; seed; capacity; shards; churn }
+  in
+  Term.(const make $ n $ seed $ capacity $ shards $ churn)
+
+(* One packet source per traffic command, shared by the timed run and
+   by --check: seeded uniform random packets, or the churn workload
+   under --churn. Each call restarts the stream from [seed]. *)
+let packet_source tr =
+  match tr.churn with
+  | Some concurrent ->
+      let ch = Packet.Traffic.churn_gen ~concurrent ~seed:tr.seed () in
+      fun () -> Packet.Traffic.churn_next ch
+  | None ->
+      let rng = Packet.Rng.create tr.seed in
+      fun () -> Packet.Traffic.random_pkt rng Packet.Traffic.default_profile
+
+let packet_stream tr =
+  let next = packet_source tr in
+  Array.init tr.n (fun _ -> next ())
+
+let time_traffic tr consume =
+  Packet.Traffic.time_batches ~next:(packet_source tr) ~n:tr.n consume
+
+let mpps tr secs = if secs > 0. then float_of_int tr.n /. secs /. 1e6 else 0.
+
+let run_cmd =
+  let json = Arg.(value & flag & info [ "json" ] ~doc:"Print engine counters as JSON.") in
+  let check =
+    Arg.(value & flag & info [ "check" ] ~doc:"Compare against a reference on the same traffic: the interpreter for a single engine, a single engine for a sharded run (outputs, final state, counters).")
+  in
+  let run ({ n; capacity; shards; _ } as tr) json check cache_dir arg =
     with_nf
       (fun name _ p ->
-        check_traffic_args ~shards ~churn ~capacity;
         let m = manager ?cache_dir () in
         let ex = Pipeline.Manager.extract m ~name p in
         let model = ex.Nfactor.Extract.model in
         let store = Nfactor.Model_interp.initial_store ex in
         let plan = Pipeline.Manager.plan m ex in
-        let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-        let time consume =
-          Packet.Traffic.time_batches ~next:(packet_source ~churn ~seed) ~n consume
-        in
-        let stream () = packet_stream ~churn ~seed ~n in
         if shards = 1 then begin
           let eng = Nfactor_runtime.Engine.create ?capacity plan ~store in
-          let secs = time (Nfactor_runtime.Engine.run_batch eng) in
+          let secs = time_traffic tr (Nfactor_runtime.Engine.run_batch eng) in
           if json then print_endline (Nfactor_runtime.Engine.stats_json eng)
           else begin
             Fmt.pr "plan: %a@." Nfactor_runtime.Compile.pp_plan plan;
             Fmt.pr "%a@." Nfactor_runtime.Engine.pp_stats eng;
-            Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps secs)
+            Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps tr secs)
           end;
           if check then begin
-            if capacity <> None then begin
-              Fmt.epr "error: --check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)@.";
-              exit 1
-            end;
-            let pkts = Array.to_list (stream ()) in
+            if capacity <> None then
+              fail "--check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)";
+            let pkts = Array.to_list (packet_stream tr) in
             let ref_store, ref_out = Nfactor.Model_interp.run model ~store ~pkts in
             let eng2 = Nfactor_runtime.Engine.create plan ~store in
             let outcomes = Nfactor_runtime.Engine.run_batch eng2 (Array.of_list pkts) in
@@ -368,7 +391,7 @@ let run_cmd =
           Fun.protect
             ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
             (fun () ->
-              let secs = time (Nfactor_runtime.Shard.run_batch sh) in
+              let secs = time_traffic tr (Nfactor_runtime.Shard.run_batch sh) in
               if json then print_endline (Nfactor_runtime.Shard.stats_json sh ~nf:name)
               else begin
                 Fmt.pr "sharding: %a@." Nfactor_runtime.Shardplan.pp
@@ -381,14 +404,12 @@ let run_cmd =
                   (Nfactor_runtime.Shard.deferred sh)
                   (Nfactor_runtime.Shard.batches sh);
                 Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
-                  (mpps secs) shards
+                  (mpps tr secs) shards
               end;
               if check then begin
-                if capacity <> None then begin
-                  Fmt.epr "error: --check requires an unbounded store (eviction order differs across shard clocks by design)@.";
-                  exit 1
-                end;
-                let pkts = stream () in
+                if capacity <> None then
+                  fail "--check requires an unbounded store (eviction order differs across shard clocks by design)";
+                let pkts = packet_stream tr in
                 let eng = Nfactor_runtime.Engine.create plan ~store in
                 let expected = Nfactor_runtime.Engine.run_batch eng pkts in
                 let sh2 =
@@ -443,7 +464,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Compile the model into the runtime dataplane and replay seeded traffic through it, optionally sharded across domains.")
-    Term.(const run $ n $ seed $ capacity $ json $ check $ shards $ churn $ cache_dir_arg $ nf_arg)
+    Term.(const run $ traffic_term $ json $ check $ cache_dir_arg $ nf_arg)
 
 let fsm_cmd =
   let dot = Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz instead of text.") in
@@ -471,10 +492,7 @@ let export_cmd =
         match out with
         | None -> print_endline text
         | Some file ->
-            let oc = open_out file in
-            output_string oc text;
-            output_char oc '\n';
-            close_out oc;
+            write_file file (text ^ "\n");
             Fmt.pr "model written to %s@." file)
       arg
   in
@@ -486,18 +504,9 @@ let export_cmd =
 let import_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Model file.") in
   let run file =
-    if not (Sys.file_exists file) then begin
-      Fmt.epr "error: no such file %s@." file;
-      exit 1
-    end;
-    let ic = open_in file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Nfactor.Model_io.of_string (String.trim text) with
+    match Nfactor.Model_io.of_string (String.trim (read_file file)) with
     | m -> Fmt.pr "%a" Nfactor.Model.pp m
-    | exception Nfactor.Model_io.Parse_error msg ->
-        Fmt.epr "error: %s@." msg;
-        exit 1
+    | exception Nfactor.Model_io.Parse_error msg -> fail "%s" msg
   in
   Cmd.v (Cmd.info "import" ~doc:"Parse and display a serialized model.") Term.(const run $ file)
 
@@ -506,21 +515,7 @@ let classes_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"NF..." ~doc:"Chain of NFs, in order.")
   in
   let run cache_dir names =
-    (* One manager for the whole chain: an NF appearing twice is
-       synthesized once. *)
-    let m = manager ?cache_dir () in
-    let nodes =
-      List.map
-        (fun n ->
-          match load_nf n with
-          | Ok (name, _, p) ->
-              let ex = Pipeline.Manager.extract m ~name p in
-              (name, ex.Nfactor.Extract.model, Nfactor.Model_interp.initial_store ex)
-          | Error msg ->
-              Fmt.epr "error: %s@." msg;
-              exit 1)
-        names
-    in
+    let nodes = List.map node_of (extract_all ?cache_dir names) in
     let classes = Verify.Symreach.classes nodes in
     Fmt.pr "%d end-to-end forwarding class(es) through [%a]:@.@." (List.length classes)
       Fmt.(list ~sep:(any " -> ") string)
@@ -540,17 +535,10 @@ let compose_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"NF..." ~doc:"NFs to order.")
   in
   let run cache_dir names =
-    let m = manager ?cache_dir () in
     let models =
       List.map
-        (fun n ->
-          match load_nf n with
-          | Ok (name, _, p) ->
-              (name, (Pipeline.Manager.extract m ~name p).Nfactor.Extract.model)
-          | Error msg ->
-              Fmt.epr "error: %s@." msg;
-              exit 1)
-        names
+        (fun (name, ex) -> (name, ex.Nfactor.Extract.model))
+        (extract_all ?cache_dir names)
     in
     Fmt.pr "orders ranked by model-derived interference:@.";
     List.iter
@@ -570,21 +558,8 @@ let chain_nodes ?cache_dir spec =
     String.split_on_char ',' spec |> List.map String.trim
     |> List.filter (fun s -> s <> "")
   in
-  if names = [] then begin
-    Fmt.epr "error: empty chain (expected NF,NF,...)@.";
-    exit 1
-  end;
-  let m = manager ?cache_dir () in
-  List.map
-    (fun n ->
-      match load_nf n with
-      | Ok (name, _, p) ->
-          let ex = Pipeline.Manager.extract m ~name p in
-          (name, ex.Nfactor.Extract.model, Nfactor.Model_interp.initial_store ex)
-      | Error msg ->
-          Fmt.epr "error: %s@." msg;
-          exit 1)
-    names
+  if names = [] then fail "empty chain (expected NF,NF,...)";
+  List.map node_of (extract_all ?cache_dir names)
 
 let chain_arg =
   let doc = "Service chain as comma-separated NFs in traversal order, e.g. firewall,nat,snort." in
@@ -617,46 +592,27 @@ let chain_check_interp nodes (eng : Nfactor_runtime.Chainengine.t) pkts =
   (out_ok, store_ok)
 
 let chain_run_cmd =
-  let n = Arg.(value & opt int 100_000 & info [ "n" ] ~doc:"Packets to replay.") in
-  let seed = Arg.(value & opt int 2016 & info [ "seed" ] ~doc:"Traffic seed.") in
-  let capacity =
-    Arg.(value & opt (some int) None & info [ "capacity" ] ~doc:"Per-flow-table capacity bound (LRU eviction). Unbounded by default.")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print chain counters as JSON.") in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Differential check on the same traffic: the interpreter chain (Verify.Network.run) for a single engine (outputs and per-hop final stores), a single chain engine for a sharded run (outputs, per-hop final stores and counters).")
   in
-  let shards =
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"Run the chain across N shard domains, when the fused plan's shard spec allows it; 1 (default) runs the single-threaded chain engine.")
-  in
-  let churn =
-    Arg.(value & opt (some int) None & info [ "churn" ] ~docv:"FLOWS" ~doc:"Replace uniform random traffic with the churn workload: FLOWS concurrent conversations with unbounded turnover.")
-  in
-  let run n seed capacity json check shards churn cache_dir spec =
-    check_traffic_args ~shards ~churn ~capacity;
-    if check && capacity <> None then begin
-      Fmt.epr "error: --check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)@.";
-      exit 1
-    end;
+  let run ({ n; capacity; shards; _ } as tr) json check cache_dir spec =
+    if check && capacity <> None then
+      fail "--check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)";
     let nodes = chain_nodes ?cache_dir spec in
     let cp = Nfactor_runtime.Chainplan.link nodes in
-    let mpps secs = if secs > 0. then float_of_int n /. secs /. 1e6 else 0. in
-    let stream () = packet_stream ~churn ~seed ~n in
     if shards = 1 then begin
       let eng = Nfactor_runtime.Chainengine.create ?capacity cp in
-      let secs =
-        Packet.Traffic.time_batches ~next:(packet_source ~churn ~seed) ~n
-          (Nfactor_runtime.Chainengine.run_batch eng)
-      in
+      let secs = time_traffic tr (Nfactor_runtime.Chainengine.run_batch eng) in
       if json then print_endline (Nfactor_runtime.Chainengine.stats_json eng)
       else begin
         Fmt.pr "%a@." Nfactor_runtime.Chainplan.pp cp;
         Fmt.pr "%a@." Nfactor_runtime.Chainengine.pp_stats eng;
-        Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps secs)
+        Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps tr secs)
       end;
       if check then begin
         let eng2 = Nfactor_runtime.Chainengine.create cp in
-        let out_ok, store_ok = chain_check_interp nodes eng2 (stream ()) in
+        let out_ok, store_ok = chain_check_interp nodes eng2 (packet_stream tr) in
         if out_ok && store_ok then
           Fmt.pr "check: fused chain == interpreter chain on %d packets (outputs and per-hop final stores)@." n
         else begin
@@ -669,11 +625,9 @@ let chain_run_cmd =
     end
     else begin
       match Nfactor_runtime.Chainengine.shard ?capacity cp ~nshards:shards with
-      | Error e ->
-          Fmt.epr "error: chain does not shard: %s@." e;
-          exit 1
+      | Error e -> fail "chain does not shard: %s" e
       | Ok sh ->
-          let secs = Nfactor_runtime.Chainengine.shard_replay sh ~pkts:(stream ()) in
+          let secs = Nfactor_runtime.Chainengine.shard_replay sh ~pkts:(packet_stream tr) in
           if json then
             Printf.printf
               "{\"chain\": %s, \"nshards\": %d, \"injected\": %d, \"fused_walks\": %d, \"wall_ms\": %.3f}\n"
@@ -683,14 +637,12 @@ let chain_run_cmd =
               (secs *. 1e3)
           else
             Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
-              (mpps secs) shards;
+              (mpps tr secs) shards;
           if check then begin
             match Nfactor_runtime.Chainengine.shard cp ~nshards:shards with
-            | Error e ->
-                Fmt.epr "error: %s@." e;
-                exit 1
+            | Error e -> fail "%s" e
             | Ok sh2 ->
-                let pkts = stream () in
+                let pkts = packet_stream tr in
                 let eng = Nfactor_runtime.Chainengine.create cp in
                 let single = Nfactor_runtime.Chainengine.run_batch eng pkts in
                 let shard_outs = Nfactor_runtime.Chainengine.shard_run_batch sh2 pkts in
@@ -732,7 +684,7 @@ let chain_run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Link the chain's compiled plans into one dataplane and replay seeded traffic through it.")
-    Term.(const run $ n $ seed $ capacity $ json $ check $ shards $ churn $ cache_dir_arg $ chain_arg)
+    Term.(const run $ traffic_term $ json $ check $ cache_dir_arg $ chain_arg)
 
 type chain_invariant =
   | Inv_never of Verify.Invariant.prop
@@ -817,9 +769,7 @@ let chain_verify_cmd =
   let run invariant expect json cache_dir spec =
     let nodes = chain_nodes ?cache_dir spec in
     match parse_invariant invariant with
-    | Error e ->
-        Fmt.epr "error: %s@." e;
-        exit 1
+    | Error e -> fail "%s" e
     | Ok inv ->
         let other =
           match inv with
@@ -915,10 +865,8 @@ let lint_cmd =
         let report =
           if fix then
             let _pre, outcome, post = Pipeline.Manager.analyze m ex in
-            if not outcome.Analysis.Minimize.verified then begin
-              Fmt.epr "error: minimizer differential gate failed for %s@." name;
-              exit 1
-            end;
+            if not outcome.Analysis.Minimize.verified then
+              fail "minimizer differential gate failed for %s" name;
             post
           else Analysis.Lint.run ex
         in
@@ -997,9 +945,7 @@ let minimize_cmd =
         end;
         (match output with
         | Some file ->
-            let oc = open_out file in
-            output_string oc (Nfactor.Model_io.to_string o.Analysis.Minimize.minimized);
-            close_out oc;
+            write_file file (Nfactor.Model_io.to_string o.Analysis.Minimize.minimized);
             if not json then Fmt.pr "  minimized model written to %s@." file
         | None -> ());
         if check && not o.Analysis.Minimize.verified then exit 1)

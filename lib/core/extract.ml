@@ -1,4 +1,5 @@
-(** Algorithm 1: NF program slicing and model synthesis, end to end.
+(** Algorithm 1: NF program slicing and model synthesis, as one pure
+    function per stage. [Pipeline.Manager.extract] composes them.
 
     {v
     1-4   packet slice      — backward slices from every send()
@@ -28,9 +29,8 @@ type result = {
   sliced_body : Nfl.Ast.block;  (** loop body restricted to the slice union *)
   paths : Explore.path list;
   stats : Explore.stats;
-  stage_times : (string * float) list;  (** wall-clock seconds per pipeline stage *)
   solver_memo : Solver.memo;  (** verdict cache; reusable for further explorations *)
-  key : string Lazy.t;  (** fingerprint determining [model] and [program] *)
+  key : string;  (** fingerprint determining [model] and [program] *)
 }
 
 (* Variables whose initial value should stay concrete even when the
@@ -130,8 +130,7 @@ let ensure_canonical (p : Nfl.Ast.program) =
 
 (* Each Algorithm-1 stage is a pure function of its upstream artifacts,
    so the pass pipeline (lib/pipeline) can fingerprint, memoize and
-   persist them independently; [run] below composes the same functions
-   without any caching. *)
+   persist them independently; its manager is the one composition. *)
 
 let canonical_stage (p : Nfl.Ast.program) =
   (* Statement ids and positions come from the printer's layout of the
@@ -256,48 +255,3 @@ let refine_stage ~name (classes : Statealyzer.Varclass.t) (paths : Explore.path 
       paths
   in
   { Model.nf_name = name; pkt_var; cfg_vars; ois_vars; entries }
-
-let assemble ~model ~classes ~program ~slices:sl ~paths ~stats ~stage_times ~solver_memo ~key =
-  {
-    model;
-    classes;
-    program;
-    pkt_slice = sl.sl_pkt;
-    state_slice = sl.sl_state;
-    union_slice = sl.sl_union;
-    sliced_body = sl.sl_body;
-    paths;
-    stats;
-    stage_times;
-    solver_memo;
-    key;
-  }
-
-(** Run Algorithm 1 on an NF program: the uncached composition of the
-    stage functions above (the pass pipeline in [lib/pipeline] runs the
-    same stages with fingerprinting and artifact caching). The program
-    is canonicalized (structure-normalized and inlined) first, so any
-    of the Figure-4 shapes is accepted. *)
-let run ?(config = Explore.default_config) ?(merge = true) ~name (p : Nfl.Ast.program) =
-  let stage_times = ref [] in
-  let timed stage f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    stage_times := (stage, Unix.gettimeofday () -. t0) :: !stage_times;
-    r
-  in
-  let p = timed "canonicalize" (fun () -> canonical_stage p) in
-  let classes = timed "classify" (fun () -> classify_stage p) in
-  let sl = timed "slice" (fun () -> slice_stage p classes) in
-  let solver_memo = Solver.memo_create () in
-  let paths, stats =
-    timed "explore" (fun () -> explore_stage ~config ~merge ~memo:solver_memo p classes sl)
-  in
-  let model = timed "refine" (fun () -> refine_stage ~name classes paths) in
-  (* Nothing derives this run's model from a fingerprint, so its key is
-     the content itself, digested only if someone asks. *)
-  let key =
-    lazy (Digest.to_hex (Digest.string (Model_io.to_string model ^ "\000" ^ Nfl.Pretty.program p)))
-  in
-  assemble ~model ~classes ~program:p ~slices:sl ~paths ~stats
-    ~stage_times:(List.rev !stage_times) ~solver_memo ~key

@@ -1,8 +1,10 @@
-(** Algorithm 1: NF program slicing and model synthesis, end to end.
+(** Algorithm 1: NF program slicing and model synthesis, one function
+    per stage.
 
     Packet slice (lines 1-4) → StateAlyzer (5) → state slice (6-9) →
     symbolic path exploration of the slice union (10) → refinement of
-    paths into model entries (11-16). Scalar configuration stays
+    paths into model entries (11-16). [Pipeline.Manager.extract]
+    composes the stages into a {!result}. Scalar configuration stays
     symbolic so one extraction covers every configuration (Figure 6);
     structured configuration (lists) stays concrete. *)
 
@@ -18,18 +20,14 @@ type result = {
   sliced_body : Nfl.Ast.block;  (** loop body restricted to the slice *)
   paths : Explore.path list;
   stats : Explore.stats;
-  stage_times : (string * float) list;
-      (** wall-clock seconds per pipeline stage, in pipeline order:
-          canonicalize, classify, slice, explore, refine *)
   solver_memo : Solver.memo;
       (** the exploration's verdict cache; pass to further explorations
           of the same program (e.g. the unsliced original) to reuse
           path-condition verdicts *)
-  key : string Lazy.t;
-      (** a fingerprint that determines [model] and [program]: results
-          with equal keys have equal models and canonical programs.
-          The pass manager sets its refine-pass fingerprint; {!run}, a
-          digest of the model and canonical texts taken on first use. *)
+  key : string;
+      (** the refine-pass fingerprint, which determines [model] and
+          [program]: results with equal keys have equal models and
+          canonical programs. *)
 }
 
 val ensure_canonical : Nfl.Ast.program -> Nfl.Ast.program
@@ -59,9 +57,8 @@ val classify_literal :
 (** {1 Pipeline stages}
 
     Each Algorithm-1 stage as a pure function of its upstream
-    artifacts. {!run} composes them without caching; the pass pipeline
-    in [lib/pipeline] composes the same functions with content-
-    addressed fingerprints and artifact caching. *)
+    artifacts. The pass manager in [lib/pipeline] composes them with
+    content-addressed fingerprints and artifact caching. *)
 
 val canonical_stage : Nfl.Ast.program -> Nfl.Ast.program
 (** {!ensure_canonical} followed by a pretty-print/parse round trip, so
@@ -110,24 +107,3 @@ val explore_stage :
 
 val refine_stage :
   name:string -> Statealyzer.Varclass.t -> Explore.path list -> Model.t
-
-val assemble :
-  model:Model.t ->
-  classes:Statealyzer.Varclass.t ->
-  program:Nfl.Ast.program ->
-  slices:slices ->
-  paths:Explore.path list ->
-  stats:Explore.stats ->
-  stage_times:(string * float) list ->
-  solver_memo:Solver.memo ->
-  key:string Lazy.t ->
-  result
-(** Build the {!result} record from stage artifacts. *)
-
-val run :
-  ?config:Explore.config -> ?merge:bool -> name:string -> Nfl.Ast.program -> result
-(** Run the whole pipeline (uncached stage composition). Accepts any
-    Figure-4 structure (the program is canonicalized first). [merge]
-    (default [true]) enables join-point path merging during
-    exploration; disable it to reproduce the unmerged path
-    enumeration. *)

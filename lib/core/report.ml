@@ -57,12 +57,10 @@ let explore_slice ?(config = Explore.default_config) ?memo (ex : Extract.result)
   in
   Explore.block ~config ?memo ~env:(extraction_env ex) body_no_recv
 
-(** Measure one NF end to end. [se_budget] caps the original-program
-    exploration (the slice side should never need it). [ex] supplies an
-    already-synthesized extraction (e.g. from a pass-manager cache) so
-    the measurement layers on top of it instead of re-running
-    [Extract.run]. *)
-let measure ?(config = Explore.default_config) ?(se_budget = 1000) ?ex ~name ~source
+(** Measure one NF on top of its extraction [ex]. [se_budget] caps the
+    original-program exploration (the slice side should never need
+    it). *)
+let measure ?(config = Explore.default_config) ?(se_budget = 1000) ~ex ~name ~source
     (program : Nfl.Ast.program) =
   let loc_orig =
     String.split_on_char '\n' source
@@ -73,9 +71,6 @@ let measure ?(config = Explore.default_config) ?(se_budget = 1000) ?ex ~name ~so
   in
   (* Slicing time: canonicalization + classification + both slices;
      symbolic execution of original and slice are measured directly. *)
-  let ex =
-    match ex with Some ex -> ex | None -> Extract.run ~config ~name program
-  in
   let _, slice_only_time =
     time (fun () ->
         (* Re-run the pre-exploration pipeline: canonicalize, classify,
@@ -104,19 +99,18 @@ let measure ?(config = Explore.default_config) ?(se_budget = 1000) ?ex ~name ~so
         max acc (List.length (List.sort_uniq compare p.Explore.trace)))
       0 ex.Extract.paths
   in
-  ( ex,
-    {
-      name;
-      loc_orig;
-      stmts_orig = Nfl.Ast.stmt_count ex.Extract.program;
-      loc_slice = List.length ex.Extract.union_slice;
-      loc_path_max;
-      slicing_time_s = slice_only_time;
-      ep_orig;
-      ep_slice;
-      se_time_orig_s;
-      se_time_slice_s;
-    } )
+  {
+    name;
+    loc_orig;
+    stmts_orig = Nfl.Ast.stmt_count ex.Extract.program;
+    loc_slice = List.length ex.Extract.union_slice;
+    loc_path_max;
+    slicing_time_s = slice_only_time;
+    ep_orig;
+    ep_slice;
+    se_time_orig_s;
+    se_time_slice_s;
+  }
 
 let header =
   Printf.sprintf "%-11s | %5s %6s %6s %5s | %9s | %6s %6s | %11s %11s" "NF" "LoC" "stmts"

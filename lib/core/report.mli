@@ -37,15 +37,14 @@ val explore_slice :
 val measure :
   ?config:Explore.config ->
   ?se_budget:int ->
-  ?ex:Extract.result ->
+  ex:Extract.result ->
   name:string ->
   source:string ->
   Nfl.Ast.program ->
-  Extract.result * row
-(** Full measurement of one NF; [se_budget] caps the original-program
-    exploration. [ex] supplies an already-synthesized extraction (e.g.
-    assembled from a pass-manager cache) instead of re-running
-    [Extract.run]. *)
+  row
+(** Full measurement of one NF on top of its extraction [ex] (from
+    [Pipeline.Manager.extract]); [se_budget] caps the original-program
+    exploration. The program times the slicing column. *)
 
 val header : string
 val row_to_string : row -> string

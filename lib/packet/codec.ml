@@ -52,6 +52,11 @@ let to_line (p : Pkt.t) =
     (Headers.flags_to_string p.Pkt.tcp_flags)
     p.Pkt.ip_ttl p.Pkt.ip_len p.Pkt.seq p.Pkt.ack p.Pkt.payload
 
+let int_field name s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "Codec: bad %s %s" name s)
+
 (** Parse one trace line.
     @raise Invalid_argument on malformed lines. *)
 let of_line line =
@@ -62,14 +67,18 @@ let of_line line =
   | Some qpos ->
       let head = String.trim (String.sub line 0 qpos) in
       let quoted = String.sub line qpos (String.length line - qpos) in
-      let payload = Scanf.sscanf quoted "%S" (fun s -> s) in
+      let payload =
+        try Scanf.sscanf quoted "%S%!" Fun.id
+        with Scanf.Scan_failure _ | Failure _ | End_of_file ->
+          invalid_arg "Codec: payload is not one quoted string"
+      in
       (match String.split_on_char ' ' head |> List.filter (fun s -> s <> "") with
       | [ proto; src; sport; dst; dport; flags; ttl; len; seq; ack ] ->
           Pkt.make ~ip_proto:(proto_of_string proto) ~ip_src:(Addr.of_string src)
-            ~sport:(int_of_string sport) ~ip_dst:(Addr.of_string dst)
-            ~dport:(int_of_string dport) ~tcp_flags:(flags_of_string flags)
-            ~ip_ttl:(int_of_string ttl) ~ip_len:(int_of_string len) ~seq:(int_of_string seq)
-            ~ack:(int_of_string ack) ~payload ()
+            ~sport:(int_field "sport" sport) ~ip_dst:(Addr.of_string dst)
+            ~dport:(int_field "dport" dport) ~tcp_flags:(flags_of_string flags)
+            ~ip_ttl:(int_field "ttl" ttl) ~ip_len:(int_field "len" len)
+            ~seq:(int_field "seq" seq) ~ack:(int_field "ack" ack) ~payload ()
       | _ -> invalid_arg ("Codec: malformed line: " ^ line))
 
 (** Render a whole trace (with a header comment). *)
@@ -83,12 +92,18 @@ let to_string pkts =
     pkts;
   Buffer.contents b
 
-(** Parse a whole trace; [#] comments and blank lines are skipped. *)
+(** Parse a whole trace; [#] comments and blank lines are skipped.
+    @raise Invalid_argument naming the 1-based line of the first
+    malformed line. *)
 let of_string text =
   String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
+  |> List.mapi (fun i line ->
          let t = String.trim line in
-         if t = "" || t.[0] = '#' then None else Some (of_line t))
+         if t = "" || t.[0] = '#' then None
+         else
+           try Some (of_line t)
+           with Invalid_argument msg -> invalid_arg (Printf.sprintf "line %d: %s" (i + 1) msg))
+  |> List.filter_map Fun.id
 
 let save ~file pkts =
   let oc = open_out file in

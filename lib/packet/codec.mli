@@ -7,10 +7,15 @@
 val to_line : Pkt.t -> string
 
 val of_line : string -> Pkt.t
-(** @raise Invalid_argument on malformed lines. *)
+(** @raise Invalid_argument on every malformed line: a missing field,
+    a non-numeric number, a bad address, protocol or flag, a payload
+    that is not exactly one quoted string. *)
 
 val to_string : Pkt.t list -> string
+
 val of_string : string -> Pkt.t list
+(** @raise Invalid_argument whose message begins [line N:] with the
+    1-based number of the first malformed line. *)
 
 val save : file:string -> Pkt.t list -> unit
 val load : file:string -> Pkt.t list

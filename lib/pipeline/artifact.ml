@@ -272,7 +272,8 @@ let paths_of_string input =
 (* Analyzer results (lint reports + minimization outcome)             *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_version = 1
+(* 2: no (original ...) field; the decoder takes the input model *)
+let analysis_version = 2
 
 let analysis_to_string
     ((pre, outcome, post) :
@@ -284,7 +285,6 @@ let analysis_to_string
          Atom "nfactor-analysis";
          Atom (string_of_int analysis_version);
          List [ Atom "pre"; Atom (Analysis.Lint.report_to_string pre) ];
-         List [ Atom "original"; Atom (Nfactor.Model_io.to_string o.Analysis.Minimize.original) ];
          List [ Atom "minimized"; Atom (Nfactor.Model_io.to_string o.Analysis.Minimize.minimized) ];
          List
            [
@@ -300,14 +300,13 @@ let analysis_to_string
          List [ Atom "post"; Atom (Analysis.Lint.report_to_string post) ];
        ])
 
-let analysis_of_string input =
+let analysis_of_string ~original input =
   match parse_sexp input with
   | List
       [
         Atom "nfactor-analysis";
         v;
         List [ Atom "pre"; Atom pre ];
-        List [ Atom "original"; Atom original ];
         List [ Atom "minimized"; Atom minimized ];
         List [ Atom "stats"; dead; shadowed; merged; widened; iters; verified; trials ];
         List [ Atom "post"; Atom post ];
@@ -315,7 +314,7 @@ let analysis_of_string input =
     when int_atom v = analysis_version ->
       ( Analysis.Lint.report_of_string pre,
         {
-          Analysis.Minimize.original = Nfactor.Model_io.of_string original;
+          Analysis.Minimize.original;
           minimized = Nfactor.Model_io.of_string minimized;
           deleted_dead = int_atom dead;
           deleted_shadowed = int_atom shadowed;

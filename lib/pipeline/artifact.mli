@@ -39,10 +39,15 @@ val paths_of_string : string -> Explore.path list * Explore.stats
 val analysis_to_string :
   Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report -> string
 (** The analyze-pass artifact: pre-minimization lint report, the
-    minimization outcome (original + minimized models and rewrite
-    counters), and the lint report of the minimized table. *)
+    minimization outcome (minimized model and rewrite counters), and
+    the lint report of the minimized table. The outcome's [original]
+    is the input model, which the refine artifact already stores, so
+    it is not written. *)
 
 val analysis_of_string :
-  string -> Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report
-(** Models re-intern through {!Nfactor.Model_io}; witness packets
+  original:Nfactor.Model.t ->
+  string ->
+  Analysis.Lint.report * Analysis.Minimize.outcome * Analysis.Lint.report
+(** [original] is the model the analysis ran on (the extraction's).
+    Models re-intern through {!Nfactor.Model_io}; witness packets
     rebuild field-by-field. *)

@@ -6,12 +6,13 @@ let passes =
 (* Implementation version folded into every pass fingerprint: bump when
    any stage's semantics or artifact encoding changes, so persisted
    caches from older builds read as stale instead of wrong. *)
-let stage_version = 4
+let stage_version = 5
 (* 2: match compiler v2 — FSM/decision-tree dispatch plans
    3: worklist explorer — merge/prune stats fields, ite terms in
       artifacts, join-point merging behind the "merge" param
    4: one term codec — model format v3 (refine, analyze) and Model_io's
-      table and snapshot encodings in explore artifacts *)
+      table and snapshot encodings in explore artifacts
+   5: analyze artifacts drop the input model (analysis format v2) *)
 
 type artifact =
   | A_canon of (Nfl.Ast.program * string)
@@ -81,26 +82,18 @@ let run_pass (type a) t ~nf ~pass ~(fp : Fingerprint.t)
 
 let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~src_fp
     (parse_input : unit -> Nfl.Ast.program) =
-  let wall = ref [] in
-  let timed pass f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    wall := (pass, Unix.gettimeofday () -. t0) :: !wall;
-    r
-  in
   let canon_fp = Fingerprint.combine ~pass:"canonicalize" ~version:stage_version [ src_fp ] in
   let canon, canon_text =
-    timed "canonicalize" (fun () ->
-        run_pass t ~nf:name ~pass:"canonicalize" ~fp:canon_fp
-          ~persist:((fun (_, text) -> text), fun text -> (Nfl.Parser.program text, text))
-          ~wrap:(fun c -> A_canon c)
-          ~unwrap:(function A_canon c -> Some c | _ -> None)
-          (fun () ->
-            (* [canonical_stage] with the canonical text kept: the
-               printer's layout numbers the program as parsing that
-               text would (a disk hit does parse it), and the tests
-               prove the two equal, so cold and warm runs agree. *)
-            Nfl.Pretty.layout (Nfactor.Extract.ensure_canonical (parse_input ()))))
+    run_pass t ~nf:name ~pass:"canonicalize" ~fp:canon_fp
+      ~persist:((fun (_, text) -> text), fun text -> (Nfl.Parser.program text, text))
+      ~wrap:(fun c -> A_canon c)
+      ~unwrap:(function A_canon c -> Some c | _ -> None)
+      (fun () ->
+        (* [canonical_stage] with the canonical text kept: the
+           printer's layout numbers the program as parsing that
+           text would (a disk hit does parse it), and the tests
+           prove the two equal, so cold and warm runs agree. *)
+        Nfl.Pretty.layout (Nfactor.Extract.ensure_canonical (parse_input ())))
   in
   (* Downstream keys chain from the canonical *content*: cosmetically
      different sources that canonicalize identically share every
@@ -108,23 +101,21 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
   let content_fp = Fingerprint.of_text canon_text in
   let classes_fp = Fingerprint.combine ~pass:"classify" ~version:stage_version [ content_fp ] in
   let classes =
-    timed "classify" (fun () ->
-        run_pass t ~nf:name ~pass:"classify" ~fp:classes_fp
-          ~persist:(Artifact.classes_to_string, Artifact.classes_of_string ~canon)
-          ~wrap:(fun c -> A_classes c)
-          ~unwrap:(function A_classes c -> Some c | _ -> None)
-          (fun () -> Nfactor.Extract.classify_stage canon))
+    run_pass t ~nf:name ~pass:"classify" ~fp:classes_fp
+      ~persist:(Artifact.classes_to_string, Artifact.classes_of_string ~canon)
+      ~wrap:(fun c -> A_classes c)
+      ~unwrap:(function A_classes c -> Some c | _ -> None)
+      (fun () -> Nfactor.Extract.classify_stage canon)
   in
   let slices_fp =
     Fingerprint.combine ~pass:"slice" ~version:stage_version [ content_fp; classes_fp ]
   in
   let slices =
-    timed "slice" (fun () ->
-        run_pass t ~nf:name ~pass:"slice" ~fp:slices_fp
-          ~persist:(Artifact.slices_to_string, Artifact.slices_of_string ~canon)
-          ~wrap:(fun sl -> A_slices sl)
-          ~unwrap:(function A_slices sl -> Some sl | _ -> None)
-          (fun () -> Nfactor.Extract.slice_stage canon classes))
+    run_pass t ~nf:name ~pass:"slice" ~fp:slices_fp
+      ~persist:(Artifact.slices_to_string, Artifact.slices_of_string ~canon)
+      ~wrap:(fun sl -> A_slices sl)
+      ~unwrap:(function A_slices sl -> Some sl | _ -> None)
+      (fun () -> Nfactor.Extract.slice_stage canon classes)
   in
   let explore_fp =
     Fingerprint.combine ~pass:"explore" ~version:stage_version
@@ -138,13 +129,11 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
       [ content_fp; slices_fp ]
   in
   let paths, stats =
-    timed "explore" (fun () ->
-        run_pass t ~nf:name ~pass:"explore" ~fp:explore_fp
-          ~persist:(Artifact.paths_to_string, Artifact.paths_of_string)
-          ~wrap:(fun ps -> A_paths ps)
-          ~unwrap:(function A_paths ps -> Some ps | _ -> None)
-          (fun () ->
-            Nfactor.Extract.explore_stage ~config ~merge ~memo:t.memo canon classes slices))
+    run_pass t ~nf:name ~pass:"explore" ~fp:explore_fp
+      ~persist:(Artifact.paths_to_string, Artifact.paths_of_string)
+      ~wrap:(fun ps -> A_paths ps)
+      ~unwrap:(function A_paths ps -> Some ps | _ -> None)
+      (fun () -> Nfactor.Extract.explore_stage ~config ~merge ~memo:t.memo canon classes slices)
   in
   let refine_fp =
     Fingerprint.combine ~pass:"refine" ~version:stage_version
@@ -152,17 +141,27 @@ let extract_keyed ?(config = Explore.default_config) ?(merge = true) t ~name ~sr
       [ explore_fp ]
   in
   let model =
-    timed "refine" (fun () ->
-        run_pass t ~nf:name ~pass:"refine" ~fp:refine_fp
-          ~persist:(Nfactor.Model_io.to_string, Nfactor.Model_io.of_string)
-          ~wrap:(fun m -> A_model m)
-          ~unwrap:(function A_model m -> Some m | _ -> None)
-          (fun () -> Nfactor.Extract.refine_stage ~name classes paths))
+    run_pass t ~nf:name ~pass:"refine" ~fp:refine_fp
+      ~persist:(Nfactor.Model_io.to_string, Nfactor.Model_io.of_string)
+      ~wrap:(fun m -> A_model m)
+      ~unwrap:(function A_model m -> Some m | _ -> None)
+      (fun () -> Nfactor.Extract.refine_stage ~name classes paths)
   in
-  (* The refine fingerprint chains from the canonical content, so it
-     determines the program as well as the model. *)
-  Nfactor.Extract.assemble ~model ~classes ~program:canon ~slices ~paths ~stats
-    ~stage_times:(List.rev !wall) ~solver_memo:t.memo ~key:(Lazy.from_val refine_fp)
+  {
+    Nfactor.Extract.model;
+    classes;
+    program = canon;
+    pkt_slice = slices.Nfactor.Extract.sl_pkt;
+    state_slice = slices.Nfactor.Extract.sl_state;
+    union_slice = slices.Nfactor.Extract.sl_union;
+    sliced_body = slices.Nfactor.Extract.sl_body;
+    paths;
+    stats;
+    solver_memo = t.memo;
+    (* The refine fingerprint chains from the canonical content, so it
+       determines the program as well as the model. *)
+    key = refine_fp;
+  }
 
 let extract ?config ?merge t ~name p =
   extract_keyed ?config ?merge t ~name
@@ -183,7 +182,7 @@ let extract_source ?config ?merge t ~name source =
    determines both the model and the canonical program the initial
    store is read from. *)
 let derived_fp ~pass (ex : Nfactor.Extract.result) =
-  Fingerprint.combine ~pass ~version:stage_version [ Lazy.force ex.Nfactor.Extract.key ]
+  Fingerprint.combine ~pass ~version:stage_version [ ex.Nfactor.Extract.key ]
 
 let plan t (ex : Nfactor.Extract.result) =
   let model = ex.Nfactor.Extract.model in
@@ -202,7 +201,7 @@ let analyze t (ex : Nfactor.Extract.result) =
   let model = ex.Nfactor.Extract.model in
   let fp = derived_fp ~pass:"analyze" ex in
   run_pass t ~nf:model.Nfactor.Model.nf_name ~pass:"analyze" ~fp
-    ~persist:(Artifact.analysis_to_string, Artifact.analysis_of_string)
+    ~persist:(Artifact.analysis_to_string, Artifact.analysis_of_string ~original:model)
     ~wrap:(fun a -> A_analysis a)
     ~unwrap:(function A_analysis a -> Some a | _ -> None)
     (fun () ->

@@ -34,14 +34,17 @@ val traces : t -> Trace.t list
 val extract :
   ?config:Symexec.Explore.config -> ?merge:bool -> t -> name:string -> Nfl.Ast.program ->
   Nfactor.Extract.result
-(** Run (or replay from cache) canonicalize → classify → slice →
-    explore → refine and assemble the classic {!Nfactor.Extract.result}
-    view. [result.stage_times] carries this invocation's per-pass
-    wall-clock (load time on hits); [result.stats] is the recorded
-    exploration's statistics whether computed or cached;
-    [result.solver_memo] is the manager's shared memo. [merge]
-    (default on) enables join-point path merging during exploration
-    and participates in the explore-pass fingerprint. *)
+(** Algorithm 1: run (or replay from cache) canonicalize → classify →
+    slice → explore → refine and build the {!Nfactor.Extract.result}.
+    Accepts any Figure-4 structure (the program is canonicalized
+    first). [result.key] is the refine fingerprint; [result.stats] is
+    the recorded exploration's statistics whether computed or cached;
+    [result.solver_memo] is the manager's shared memo, so a caller that
+    needs a fresh verdict cache (solver-call counts of one exploration)
+    extracts through a fresh manager. Per-pass wall-clock is in
+    {!traces}. [merge] (default on) enables join-point path merging
+    during exploration and participates in the explore-pass
+    fingerprint. *)
 
 val extract_source :
   ?config:Symexec.Explore.config -> ?merge:bool -> t -> name:string -> string ->
@@ -54,11 +57,10 @@ val extract_source :
 
 val plan : t -> Nfactor.Extract.result -> Nfactor_runtime.Compile.t
 (** The sixth pass: compile the model against its extraction-time
-    initial store. Keyed on the result's [key] (for the manager's own
-    extractions, the refine fingerprint, which determines both the
-    model and the canonical program the store is read from), so it
-    accepts any extraction result: one assembled by {!extract} from
-    cached artifacts, or a one-shot {!Nfactor.Extract.run}. *)
+    initial store. Keyed on the result's [key], the refine
+    fingerprint, which determines both the model and the canonical
+    program the store is read from; the result may come from any
+    manager, computed or replayed from cache. *)
 
 val analyze :
   t ->

@@ -1,7 +1,6 @@
-(** Per-pass trace records: the unified stage telemetry the pass
-    manager emits for every pass application (replacing ad-hoc
-    [stage_times] plumbing as the source of truth for [--stats] /
-    [--json] surfaces). *)
+(** Per-pass trace records: the stage telemetry the pass manager
+    emits for every pass application, and the one source of per-pass
+    wall-clock for the [--stats] / [--json] surfaces. *)
 
 type status =
   | Miss  (** computed (and persisted when a cache dir is set) *)

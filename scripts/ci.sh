@@ -59,6 +59,25 @@ cmp cold_models.txt warm_models.txt
 cmp cold_models.txt test/data/corpus_model_md5.txt
 rm -f synth_cold.json synth_warm.json cold_models.txt warm_models.txt
 
+# Analyzer replay gate: the analyze artifact stores only what the refine
+# artifact does not, so a second process that replays it from the
+# store must print the same report as the process that computed it.
+dune exec bin/nfactor_cli.exe -- lint firewall_redundant --fix --json --cache-dir "$CACHE_DIR" > lint_cold.json
+dune exec bin/nfactor_cli.exe -- lint firewall_redundant --fix --json --cache-dir "$CACHE_DIR" > lint_warm.json
+cmp lint_cold.json lint_warm.json
+rm -f lint_cold.json lint_warm.json
+
+# Malformed input is an error (exit 1), never an uncaught exception
+# (exit 125): a directory where a model file is expected, an output
+# path whose directory does not exist, and a malformed packet trace.
+for args in "import $CACHE_DIR" "export lb -o $CACHE_DIR/missing/x.model" \
+    "accuracy --trace test/data/bad.trace lb"; do
+  status=0
+  # shellcheck disable=SC2086
+  dune exec bin/nfactor_cli.exe -- $args 2> /dev/null || status=$?
+  test "$status" -eq 1
+done
+
 # Model interchange gates: the current format exports and re-imports
 # (dpi's merged model included), a file written by the previous format
 # version (version 2) still imports, and a malformed string escape is a

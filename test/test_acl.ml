@@ -1,7 +1,9 @@
 open Nfactor
 open Symexec
 
-let extract () = Extract.run ~name:"acl" ((Option.get (Nfs.Corpus.find "acl")).Nfs.Corpus.program ())
+let extract () =
+  Pipeline.Manager.extract (Pipeline.Manager.create ())
+    ~name:"acl" ((Option.get (Nfs.Corpus.find "acl")).Nfs.Corpus.program ())
 
 let pkt ~src =
   Packet.Pkt.make ~ip_src:(Packet.Addr.of_string src) ~ip_dst:(Packet.Addr.of_string "1.2.3.4")

@@ -246,7 +246,10 @@ let test_chain_dead_write () =
 
 let test_report_roundtrip () =
   let e = Option.get (Nfs.Corpus.find "firewall_redundant") in
-  let ex = Extract.run ~name:"firewall_redundant" (e.Nfs.Corpus.program ()) in
+  let ex =
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~name:"firewall_redundant" (e.Nfs.Corpus.program ())
+  in
   let r = Analysis.Lint.run ex in
   let r' = Analysis.Lint.report_of_string (Analysis.Lint.report_to_string r) in
   Alcotest.(check string) "nf survives" r.Analysis.Lint.r_nf r'.Analysis.Lint.r_nf;
@@ -268,7 +271,8 @@ let test_report_roundtrip () =
 let redundant_ex =
   lazy
     (let e = Option.get (Nfs.Corpus.find "firewall_redundant") in
-     Extract.run ~name:"firewall_redundant" (e.Nfs.Corpus.program ()))
+     Pipeline.Manager.extract (Pipeline.Manager.create ())
+       ~name:"firewall_redundant" (e.Nfs.Corpus.program ()))
 
 let test_redundant_is_dirty () =
   let r = Analysis.Lint.run (Lazy.force redundant_ex) in
@@ -311,7 +315,10 @@ let test_corpus_minimize_exact () =
   List.iter
     (fun (e : Nfs.Corpus.entry) ->
       let name = e.Nfs.Corpus.name in
-      let ex = Extract.run ~name (e.Nfs.Corpus.program ()) in
+      let ex =
+        Pipeline.Manager.extract (Pipeline.Manager.create ())
+          ~name (e.Nfs.Corpus.program ())
+      in
       let store = Model_interp.initial_store ex in
       let o = Analysis.Minimize.run ~store ex.Extract.model in
       Alcotest.(check bool) (name ^ " verified") true o.Analysis.Minimize.verified;
@@ -407,10 +414,10 @@ let test_pipeline_analyze_disk_roundtrip () =
       Pipeline.Manager.extract_source m ~name:"firewall_redundant" (e.Nfs.Corpus.source ())
     in
     let r = Pipeline.Manager.analyze m ex in
-    (r, analyze_traces m)
+    (r, analyze_traces m, ex)
   in
-  let (pre1, o1, post1), t1 = run () in
-  let (pre2, o2, post2), t2 = run () in
+  let (pre1, o1, post1), t1, _ = run () in
+  let (pre2, o2, post2), t2, ex2 = run () in
   Alcotest.(check bool) "cold run computes" true
     (List.exists (fun t -> t.Pipeline.Trace.status = Pipeline.Trace.Miss) t1);
   Alcotest.(check bool) "warm run replays from disk" true
@@ -428,7 +435,26 @@ let test_pipeline_analyze_disk_roundtrip () =
     (o1.Analysis.Minimize.deleted_dead = o2.Analysis.Minimize.deleted_dead
     && o1.Analysis.Minimize.merged = o2.Analysis.Minimize.merged
     && o1.Analysis.Minimize.widened_literals = o2.Analysis.Minimize.widened_literals
-    && o1.Analysis.Minimize.verified = o2.Analysis.Minimize.verified)
+    && o1.Analysis.Minimize.verified = o2.Analysis.Minimize.verified);
+  (* The input model is the refine artifact's: the analyze artifact
+     does not store it again, and the decoder takes the extraction's. *)
+  let artifacts =
+    List.filter
+      (fun f -> String.starts_with ~prefix:"analyze-" f)
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check int) "one analyze artifact" 1 (List.length artifacts);
+  let text =
+    In_channel.with_open_bin (Filename.concat dir (List.hd artifacts)) In_channel.input_all
+  in
+  Alcotest.(check bool) "artifact stores no original model" false
+    (try
+       ignore (Str.search_forward (Str.regexp_string "(original") text 0);
+       true
+     with Not_found -> false);
+  Alcotest.(check string) "decoded original is the extraction's model"
+    (Model_io.to_string ex2.Extract.model)
+    (Model_io.to_string o2.Analysis.Minimize.original)
 
 let suite =
   [

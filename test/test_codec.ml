@@ -36,7 +36,24 @@ let test_malformed () =
       match Codec.of_line line with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "accepted %S" line)
-    [ ""; "tcp 1.1.1.1"; "tcp 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0"; "xyz 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0 \"\"" ]
+    [
+      "";
+      "tcp 1.1.1.1";
+      "tcp 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0";
+      "xyz 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0 \"\"";
+      "tcp 1.1.1.1 http 2.2.2.2 2 - 64 60 0 0 \"\"";
+      "tcp 1.1.1.999 1 2.2.2.2 2 - 64 60 0 0 \"\"";
+      "tcp 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0 \"abc";
+      "tcp 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0 \"abc\" junk";
+    ];
+  (* A whole trace names the line of its first malformed packet. *)
+  let trace =
+    "# header\ntcp 1.1.1.1 1 2.2.2.2 2 - 64 60 0 0 \"\"\ntcp 1.1.1.1 x 2.2.2.2 2 - 64 60 0 0 \"\"\n"
+  in
+  match Codec.of_string trace with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("names line 3: " ^ msg) true (String.starts_with ~prefix:"line 3:" msg)
+  | _ -> Alcotest.fail "accepted a malformed trace"
 
 let test_file_io () =
   let file = Filename.temp_file "nfactor" ".trace" in

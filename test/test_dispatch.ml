@@ -102,7 +102,10 @@ let test_interval_split () =
    resolves through it — the ordered scan never runs. *)
 let test_fsm_partition () =
   let e = Option.get (Nfs.Corpus.find "portknock") in
-  let ex = Nfactor.Extract.run ~name:"portknock" (e.Nfs.Corpus.program ()) in
+  let ex =
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~name:"portknock" (e.Nfs.Corpus.program ())
+  in
   let m = ex.Nfactor.Extract.model in
   let store = Nfactor.Model_interp.initial_store ex in
   let plan = Compile.compile m ~config:store in
@@ -232,7 +235,10 @@ let prop_portknock_configs =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let e = Option.get (Nfs.Corpus.find "portknock") in
-      let ex = Nfactor.Extract.run ~name:"portknock" (e.Nfs.Corpus.program ()) in
+      let ex =
+        Pipeline.Manager.extract (Pipeline.Manager.create ())
+          ~name:"portknock" (e.Nfs.Corpus.program ())
+      in
       let m = ex.Nfactor.Extract.model in
       let store0 = Nfactor.Model_interp.initial_store ex in
       let rng = Random.State.make [| seed |] in

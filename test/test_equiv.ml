@@ -2,7 +2,7 @@ open Nfactor
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 let check_verdict name v =
   if not (Equiv.ok v) then
@@ -52,14 +52,20 @@ let test_lb_hash_config () =
      forwarding. *)
   let src = Nfs.Lb.source in
   let src = Str.global_replace (Str.regexp_string "mode = 1;") "mode = 2;" src in
-  let ex = Extract.run ~name:"lb-hash" (Nfl.Parser.program src) in
+  let ex =
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~name:"lb-hash" (Nfl.Parser.program src)
+  in
   let v = Equiv.random_testing ~seed:5 ~trials:500 ex in
   check_verdict "lb-hash" v
 
 let test_firewall_permissive_config () =
   let src = Nfs.Firewall.source in
   let src = Str.global_replace (Str.regexp_string "strict_mode = 1;") "strict_mode = 0;" src in
-  let ex = Extract.run ~name:"firewall-permissive" (Nfl.Parser.program src) in
+  let ex =
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~name:"firewall-permissive" (Nfl.Parser.program src)
+  in
   let v = Equiv.random_testing ~seed:6 ~trials:500 ex in
   check_verdict "firewall-permissive" v
 

@@ -2,7 +2,7 @@ open Nfactor
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 let test_firewall_fsm () =
   let ex = extract_nf "firewall" in

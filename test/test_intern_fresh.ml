@@ -15,7 +15,7 @@ open Nfactor
 
 let extract name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 let test_fresh_table_roundtrip () =
   let m = (extract "lb").Extract.model in

@@ -212,9 +212,13 @@ let extract_pair =
     | Some pair -> pair
     | None ->
         let name = e.Nfs.Corpus.name in
-        let on = Extract.run ~merge:true ~name (e.Nfs.Corpus.program ()) in
+        let on =
+          Pipeline.Manager.extract (Pipeline.Manager.create ())
+            ~merge:true ~name (e.Nfs.Corpus.program ())
+        in
         let off =
-          Extract.run ~config:(unmerged_config name) ~merge:false ~name
+          Pipeline.Manager.extract (Pipeline.Manager.create ())
+            ~config:(unmerged_config name) ~merge:false ~name
             (e.Nfs.Corpus.program ())
         in
         Hashtbl.replace tbl name (on, off);
@@ -283,7 +287,8 @@ let test_dpi_exponential_vs_merged () =
   (* The default budget cannot hold the naive enumeration: merging is
      what makes this NF synthesizable at all. *)
   let t =
-    Extract.run ~merge:false ~name:Nfs.Dpi.name (e.Nfs.Corpus.program ())
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~merge:false ~name:Nfs.Dpi.name (e.Nfs.Corpus.program ())
   in
   Alcotest.(check bool) "unmerged overflows the default budget" true
     t.Extract.stats.Explore.overflowed

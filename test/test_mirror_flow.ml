@@ -8,7 +8,8 @@ let mirror_canon () =
   Nfl.Transform.canonicalize ((Option.get (Nfs.Corpus.find "mirror")).Nfs.Corpus.program ())
 
 let extract_mirror () =
-  Extract.run ~name:"mirror" ((Option.get (Nfs.Corpus.find "mirror")).Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ())
+    ~name:"mirror" ((Option.get (Nfs.Corpus.find "mirror")).Nfs.Corpus.program ())
 
 let pkt ~dport =
   Packet.Pkt.make ~ip_src:(Packet.Addr.of_string "10.0.0.1")

@@ -7,7 +7,7 @@ open Symexec
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 (* --------------------------------------------------------------- *)
 (* Model queries                                                    *)
@@ -133,8 +133,13 @@ let test_check_arity () =
 
 let test_report_measure_sanity () =
   let e = Option.get (Nfs.Corpus.find "firewall") in
-  let _, row =
-    Report.measure ~name:"firewall" ~source:(e.Nfs.Corpus.source ()) (e.Nfs.Corpus.program ())
+  let ex =
+    Pipeline.Manager.extract (Pipeline.Manager.create ())
+      ~name:"firewall" (e.Nfs.Corpus.program ())
+  in
+  let row =
+    Report.measure ~ex ~name:"firewall" ~source:(e.Nfs.Corpus.source ())
+      (e.Nfs.Corpus.program ())
   in
   Alcotest.(check bool) "slice <= stmts" true (row.Report.loc_slice <= row.Report.stmts_orig);
   Alcotest.(check bool) "path <= slice" true (row.Report.loc_path_max <= row.Report.loc_slice);

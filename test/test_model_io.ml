@@ -3,7 +3,7 @@ open Symexec
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 (* Round trip: serialized + reparsed model renders identically. *)
 let test_roundtrip_all_nfs () =

@@ -54,28 +54,53 @@ let corpus_nf name =
   (e.Nfs.Corpus.source (), e.Nfs.Corpus.program ())
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline output == classic Extract.run, corpus-wide                *)
+(* Pipeline output == the stage composition, by hand                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_pipeline_equals_extract () =
-  let m = Manager.create () in
+(* The oracle: Algorithm 1 as the five stage functions chained by hand,
+   with no fingerprints, no cache and a fresh verdict cache. *)
+let stage_oracle ?config ?merge ~name p =
+  let open Nfactor.Extract in
+  let canon = canonical_stage p in
+  let classes = classify_stage canon in
+  let slices = slice_stage canon classes in
+  let memo = Symexec.Solver.memo_create () in
+  let paths, stats = explore_stage ?config ?merge ~memo canon classes slices in
+  (refine_stage ~name classes paths, classes, slices, paths, stats)
+
+let check_against_oracle ?config ~merge ~name p =
+  let model, classes, slices, paths, stats = stage_oracle ?config ~merge ~name p in
+  let ex = Manager.extract ?config ~merge (Manager.create ()) ~name p in
+  let what = Printf.sprintf "%s (merge %b): " name merge in
+  Alcotest.(check string)
+    (what ^ "model text")
+    (Nfactor.Model_io.to_string model)
+    (Nfactor.Model_io.to_string ex.Nfactor.Extract.model);
+  Alcotest.(check bool)
+    (what ^ "categories") true
+    (classes.Statealyzer.Varclass.categories
+    = ex.Nfactor.Extract.classes.Statealyzer.Varclass.categories);
+  Alcotest.(check (list int))
+    (what ^ "union slice") slices.Nfactor.Extract.sl_union ex.Nfactor.Extract.union_slice;
+  Alcotest.(check int) (what ^ "path count") (List.length paths)
+    (List.length ex.Nfactor.Extract.paths);
+  let st = ex.Nfactor.Extract.stats in
+  Alcotest.(check int)
+    (what ^ "solver calls") stats.Symexec.Explore.solver_calls st.Symexec.Explore.solver_calls;
+  Alcotest.(check int) (what ^ "merges") stats.Symexec.Explore.merges st.Symexec.Explore.merges
+
+let test_pipeline_equals_oracle () =
   List.iter
     (fun (e : Nfs.Corpus.entry) ->
-      let name = e.Nfs.Corpus.name in
-      let direct = Nfactor.Extract.run ~name (e.Nfs.Corpus.program ()) in
-      let piped = Manager.extract m ~name (e.Nfs.Corpus.program ()) in
-      Alcotest.(check string)
-        (name ^ ": model byte-equal")
-        (Nfactor.Model_io.to_string direct.Nfactor.Extract.model)
-        (Nfactor.Model_io.to_string piped.Nfactor.Extract.model);
-      Alcotest.(check (list int))
-        (name ^ ": union slice") direct.Nfactor.Extract.union_slice
-        piped.Nfactor.Extract.union_slice;
-      Alcotest.(check int)
-        (name ^ ": path count")
-        (List.length direct.Nfactor.Extract.paths)
-        (List.length piped.Nfactor.Extract.paths))
-    Nfs.Corpus.all
+      List.iter
+        (fun merge ->
+          check_against_oracle ~merge ~name:e.Nfs.Corpus.name (e.Nfs.Corpus.program ()))
+        [ true; false ])
+    Nfs.Corpus.all;
+  for seed = 1 to 50 do
+    let p = Nfl.Parser.program (Test_properties.gen_program (Packet.Rng.create seed)) in
+    check_against_oracle ~merge:true ~name:(Printf.sprintf "gen-%d" seed) p
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Warm disk re-run == fresh run, corpus-wide                         *)
@@ -395,40 +420,24 @@ let test_plan_agrees_with_interpreter () =
        ref_out (Array.to_list outs))
 
 (* The compile pass keys on the extraction's derivation: extractions
-   that differ in any parameter never share a plan, and a one-shot
-   [Extract.run] result (keyed on its content) compiles to a plan that
-   behaves like the manager's. *)
+   that differ in any parameter never share a plan. *)
 let test_compile_keys () =
   let m = Manager.create () in
-  let src, p = corpus_nf "dpi" in
+  let src, _ = corpus_nf "dpi" in
   let merged = Manager.extract_source ~merge:true m ~name:"dpi" src in
   let unmerged = Manager.extract_source ~merge:false m ~name:"dpi" src in
-  let plan_m, t1 = traced m (fun () -> Manager.plan m merged) in
+  let _, t1 = traced m (fun () -> Manager.plan m merged) in
   let _, t2 = traced m (fun () -> Manager.plan m unmerged) in
   check_statuses "merged compiles" [ ("compile", "miss") ] t1;
   check_statuses "unmerged compiles" [ ("compile", "miss") ] t2;
   Alcotest.(check bool) "fingerprints differ" true
-    ((List.hd t1).Trace.fingerprint <> (List.hd t2).Trace.fingerprint);
-  let direct = Nfactor.Extract.run ~name:"dpi" p in
-  let plan_d, t3 = traced m (fun () -> Manager.plan m direct) in
-  check_statuses "one-shot result compiles" [ ("compile", "miss") ] t3;
-  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:7 ~n:200 ()) in
-  let replay plan ex =
-    let store = Nfactor.Model_interp.initial_store ex in
-    Nfactor_runtime.Engine.run_batch (Nfactor_runtime.Engine.create plan ~store) pkts
-    |> Array.to_list
-    |> List.map (fun (o : Nfactor_runtime.Engine.outcome) -> o.Nfactor_runtime.Engine.outputs)
-  in
-  Alcotest.(check bool) "one-shot plan replays like the manager's" true
-    (List.for_all2
-       (fun a b -> List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b)
-       (replay plan_m merged) (replay plan_d direct))
+    ((List.hd t1).Trace.fingerprint <> (List.hd t2).Trace.fingerprint)
 
 (* Malformed numbers and flags in artifact and lint-report documents
    raise a [Parse_error] naming the atom, never a bare [Failure]. *)
 let test_malformed_artifacts () =
   let _, p = corpus_nf "lb" in
-  let ex = Nfactor.Extract.run ~name:"lb" p in
+  let ex = Manager.extract (Manager.create ()) ~name:"lb" p in
   let canon = ex.Nfactor.Extract.program in
   let paths = Artifact.paths_to_string (ex.Nfactor.Extract.paths, ex.Nfactor.Extract.stats) in
   let damage pattern by = Str.replace_first (Str.regexp pattern) by paths in
@@ -464,7 +473,7 @@ let test_malformed_artifacts () =
 
 let suite =
   [
-    Alcotest.test_case "pipeline == Extract.run (corpus)" `Quick test_pipeline_equals_extract;
+    Alcotest.test_case "pipeline == stage oracle" `Quick test_pipeline_equals_oracle;
     Alcotest.test_case "warm re-run identical (corpus)" `Quick test_warm_rerun_identical;
     Alcotest.test_case "warm extraction usable" `Quick test_warm_extraction_usable;
     Alcotest.test_case "in-memory dedup" `Quick test_mem_dedup;

@@ -5,7 +5,8 @@ let program () =
   Nfl.Transform.canonicalize ((Option.get (Nfs.Corpus.find "portknock")).Nfs.Corpus.program ())
 
 let extract () =
-  Extract.run ~name:"portknock" ((Option.get (Nfs.Corpus.find "portknock")).Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ())
+    ~name:"portknock" ((Option.get (Nfs.Corpus.find "portknock")).Nfs.Corpus.program ())
 
 let pkt ~src ~dport =
   Packet.Pkt.make ~ip_src:(Packet.Addr.of_string src) ~ip_dst:(Packet.Addr.of_string "3.3.3.3")

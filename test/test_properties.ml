@@ -65,7 +65,7 @@ let prop_slice_preserves_outputs =
       let rng = Packet.Rng.create seed in
       let src = gen_program rng in
       let p = Nfl.Parser.program src in
-      let ex = Nfactor.Extract.run ~name:"rand" p in
+      let ex = Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"rand" p in
       let residual =
         {
           ex.Nfactor.Extract.program with
@@ -89,7 +89,7 @@ let prop_model_agrees =
       let rng = Packet.Rng.create seed in
       let src = gen_program rng in
       let p = Nfl.Parser.program src in
-      let ex = Nfactor.Extract.run ~name:"rand" p in
+      let ex = Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"rand" p in
       let v = Nfactor.Equiv.differential ex ~pkts:(random_packets (seed + 2) 50) in
       Nfactor.Equiv.ok v)
 
@@ -188,7 +188,7 @@ let prop_model_step_deterministic =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let ex =
-        Nfactor.Extract.run ~name:"lb" (Nfs.Lb.program ())
+        Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name:"lb" (Nfs.Lb.program ())
       in
       let store = Nfactor.Model_interp.initial_store ex in
       let pkt = List.hd (random_packets seed 1) in
@@ -218,7 +218,10 @@ let prop_entries_disjoint =
     QCheck.(pair (int_bound 8) (int_bound 1_000_000))
     (fun (nf_idx, seed) ->
       let entry = List.nth Nfs.Corpus.all (nf_idx mod List.length Nfs.Corpus.all) in
-      let ex = Nfactor.Extract.run ~name:entry.Nfs.Corpus.name (entry.Nfs.Corpus.program ()) in
+      let ex =
+        Pipeline.Manager.extract (Pipeline.Manager.create ())
+          ~name:entry.Nfs.Corpus.name (entry.Nfs.Corpus.program ())
+      in
       let m = ex.Nfactor.Extract.model in
       let store = ref (Nfactor.Model_interp.initial_store ex) in
       List.for_all

@@ -13,7 +13,10 @@ let extraction name =
   | Some ex -> ex
   | None ->
       let e = Option.get (Nfs.Corpus.find name) in
-      let ex = Nfactor.Extract.run ~name (e.Nfs.Corpus.program ()) in
+      let ex =
+        Pipeline.Manager.extract (Pipeline.Manager.create ())
+          ~name (e.Nfs.Corpus.program ())
+      in
       Hashtbl.add extractions name ex;
       ex
 

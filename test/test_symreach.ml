@@ -4,7 +4,7 @@ open Symexec
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 let node name =
   let ex = extract_nf name in

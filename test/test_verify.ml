@@ -4,7 +4,7 @@ open Symexec
 
 let extract_nf name =
   let entry = Option.get (Nfs.Corpus.find name) in
-  Extract.run ~name (entry.Nfs.Corpus.program ())
+  Pipeline.Manager.extract (Pipeline.Manager.create ()) ~name (entry.Nfs.Corpus.program ())
 
 let pkt ?(flags = Packet.Headers.ack) ?(payload = "") ~src ~sport ~dst ~dport () =
   Packet.Pkt.make ~ip_src:(Packet.Addr.of_string src) ~ip_dst:(Packet.Addr.of_string dst) ~sport
