@@ -63,6 +63,14 @@ let exactly name v t = compare_gate name (v = t) v "=" t
 
 let holds name b = { name; measured = string_of_bool b; need = "= true"; ok = b }
 
+(* Every exactness gate: [obs] must agree with [reference] in every
+   part both observe; a disagreement prints the verdict. *)
+let agree ~reference obs =
+  let v = Nfactor_runtime.Differential.compare ~reference obs in
+  if not (Nfactor_runtime.Differential.ok v) then
+    Fmt.pr "mismatch: %a@." Nfactor_runtime.Differential.pp_verdict v;
+  Nfactor_runtime.Differential.ok v
+
 let count p l = List.length (List.filter p l)
 
 let geomean = function
@@ -292,7 +300,8 @@ let best_of_3 f =
   min (one ()) (min (one ()) (one ()))
 
 (* Engine-vs-interpreter speedups of the engine that the
-   FSM/decision-tree dispatch replaced, as recorded in BENCH_pr5.json.
+   FSM/decision-tree dispatch replaced, as recorded in EXPERIMENTS.md
+   ("Historical recordings").
    The dispatch gate compares *speedup ratios* (engine-vs-interpreter
    from the same run, divided by the recorded speedup) so machine speed
    cancels and the gate is meaningful on other hardware. *)
@@ -355,17 +364,11 @@ let runtime_throughput ~smoke () =
               ignore (Nfactor_runtime.Engine.run_batch eng arr))
         in
         (* correctness of the measured artifact, on the same traffic *)
-        let ref_store, ref_out = Nfactor.Model_interp.run model ~store ~pkts in
         let eng = Nfactor_runtime.Engine.create plan ~store in
-        let outs = Nfactor_runtime.Engine.run_batch eng arr in
         let equal =
-          List.for_all2
-            (fun r (o : Nfactor_runtime.Engine.outcome) ->
-              List.length r = List.length o.Nfactor_runtime.Engine.outputs
-              && List.for_all2 Packet.Pkt.equal r o.Nfactor_runtime.Engine.outputs)
-            ref_out (Array.to_list outs)
-          && Nfactor.Model_interp.Smap.equal Symexec.Value.equal ref_store
-               (Nfactor_runtime.Engine.snapshot eng)
+          agree
+            ~reference:(Nfactor_runtime.Differential.interp model ~store arr)
+            (Nfactor_runtime.Differential.engine eng arr)
         in
         let s = eng.Nfactor_runtime.Engine.stats in
         let speedup = if engine_s > 0. then interp_s /. engine_s else 0. in
@@ -383,7 +386,7 @@ let runtime_throughput ~smoke () =
       budget
   in
   Fmt.pr "@.(speedup = Model_interp.run / Engine.run_batch on the same seeded traffic;@.";
-  Fmt.pr " equality covers per-packet outputs and the final state store.)@.";
+  Fmt.pr " equality covers per-packet outputs, fired entries and the final state store.)@.";
   let dispatch =
     if smoke then []
     else
@@ -442,30 +445,13 @@ let shard_scaling ~smoke () =
         let exact =
           let ch = Packet.Traffic.churn_gen ~concurrent:5_000 ~seed:11 () in
           let pkts = Array.init 30_000 (fun _ -> Packet.Traffic.churn_next ch) in
-          let eng = Nfactor_runtime.Engine.create plan ~store in
-          let expected = Nfactor_runtime.Engine.run_batch eng pkts in
           let sh = Nfactor_runtime.Shard.create ~nshards:2 model ~config:store in
-          Fun.protect
-            ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
-            (fun () ->
-              let got = Nfactor_runtime.Shard.run_batch sh pkts in
-              let ok = ref true in
-              Array.iteri
-                (fun i (e : Nfactor_runtime.Engine.outcome) ->
-                  let g = got.(i) in
-                  if
-                    e.fired <> g.fired
-                    || List.length e.outputs <> List.length g.outputs
-                    || not (List.for_all2 Packet.Pkt.equal e.outputs g.outputs)
-                  then ok := false)
-                expected;
-              !ok
-              && Nfactor.Model_interp.Smap.equal Symexec.Value.equal
-                   (Nfactor_runtime.Engine.snapshot eng)
-                   (Nfactor_runtime.Shard.snapshot sh)
-              && Nfactor_runtime.Engine.stats_json_of ~nf:name ~plan ~evictions:0
-                   (Nfactor_runtime.Shard.merged_stats sh)
-                 = Nfactor_runtime.Engine.stats_json eng)
+          agree
+            ~reference:
+              (Nfactor_runtime.Differential.engine (Nfactor_runtime.Engine.create plan ~store) pkts)
+            (Fun.protect
+               ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
+               (fun () -> Nfactor_runtime.Differential.shard sh pkts))
         in
         (* Baseline: the single-threaded engine on the same stream. *)
         let base_s =
@@ -584,19 +570,10 @@ let chain_bench ~smoke () =
         let ref_results = Verify.Network.run ref_chain pkts in
         let interp_s = Unix.gettimeofday () -. t0 in
         let eng = Nfactor_runtime.Chainengine.create cp in
-        let outs = Nfactor_runtime.Chainengine.run_batch eng arr in
         let exact =
-          List.for_all2
-            (fun (ref_pkts, _) got ->
-              List.length ref_pkts = List.length got
-              && List.for_all2 Packet.Pkt.equal ref_pkts got)
-            ref_results (Array.to_list outs)
-          && List.for_all2
-               (fun (node : Verify.Network.node) (_, got) ->
-                 Nfactor.Model_interp.Smap.equal Symexec.Value.equal
-                   node.Verify.Network.store got)
-               ref_chain.Verify.Network.nodes
-               (Nfactor_runtime.Chainengine.snapshot_hops eng)
+          agree
+            ~reference:(Nfactor_runtime.Differential.of_network_run ref_chain ref_results)
+            (Nfactor_runtime.Differential.chain eng arr)
         in
         let chain = String.concat "," names in
         let speedup = if fused_s > 0. then interp_s /. fused_s else 0. in
@@ -614,24 +591,13 @@ let chain_bench ~smoke () =
   in
   (* Invariant smoke: one proven, one violated whose counterexample
      must reproduce through the compiled chain. *)
-  let invariants =
-    [
-      ([ "snort"; "firewall" ], "never-reaches:ip_ttl<=0");
-      ([ "snort"; "firewall" ], "never-reaches:dport=80");
-    ]
-  in
+  let invariants = [ ([ "snort"; "firewall" ], "ip_ttl<=0"); ([ "snort"; "firewall" ], "dport=80") ] in
   let inv_gates =
     List.map
-      (fun (names, spec) ->
+      (fun (names, body) ->
         let nodes = chain_nodes names in
-        let prop =
-          match String.index_opt spec ':' with
-          | Some i ->
-              Result.get_ok
-                (Verify.Invariant.parse_prop
-                   (String.sub spec (i + 1) (String.length spec - i - 1)))
-          | None -> assert false
-        in
+        let spec = "never-reaches:" ^ body in
+        let prop = Result.get_ok (Verify.Invariant.parse_prop body) in
         let o = Verify.Invariant.never_reaches nodes prop in
         let reproduces =
           match o.Verify.Invariant.counterexample with
@@ -830,24 +796,15 @@ let analysis_bench ~smoke () =
           min_s := Float.min !min_s (one min_plan)
         done;
         let orig_s = !orig_s and min_s = !min_s in
-        let eng_a = Nfactor_runtime.Engine.create orig_plan ~store in
-        let eng_b = Nfactor_runtime.Engine.create min_plan ~store in
-        let outs_a = Nfactor_runtime.Engine.run_batch eng_a arr in
-        let outs_b = Nfactor_runtime.Engine.run_batch eng_b arr in
-        let equal =
-          Array.length outs_a = Array.length outs_b
-          && Array.for_all2
-               (fun (a : Nfactor_runtime.Engine.outcome)
-                    (b : Nfactor_runtime.Engine.outcome) ->
-                 List.length a.Nfactor_runtime.Engine.outputs
-                 = List.length b.Nfactor_runtime.Engine.outputs
-                 && List.for_all2 Packet.Pkt.equal a.Nfactor_runtime.Engine.outputs
-                      b.Nfactor_runtime.Engine.outputs)
-               outs_a outs_b
-          && Nfactor.Model_interp.Smap.equal Symexec.Value.equal
-               (Nfactor_runtime.Engine.snapshot eng_a)
-               (Nfactor_runtime.Engine.snapshot eng_b)
+        (* The two plans number their entries differently, so only
+           outputs and stores are comparable. *)
+        let observe plan =
+          let o =
+            Nfactor_runtime.Differential.engine (Nfactor_runtime.Engine.create plan ~store) arr
+          in
+          { o with Nfactor_runtime.Differential.fired = None; counters = None }
         in
+        let equal = agree ~reference:(observe orig_plan) (observe min_plan) in
         let row =
           {
             an_name = name;

@@ -229,19 +229,19 @@ let accuracy_cmd =
     with_nf
       (fun name _ p ->
         let ex = Pipeline.Manager.extract (manager ?cache_dir ()) ~name p in
-        let v =
+        let v, source =
           match trace with
           | Some file ->
               let pkts =
                 try Packet.Codec.of_string (read_file file)
                 with Invalid_argument msg -> fail "%s: %s" file msg
               in
-              Nfactor.Equiv.differential ex ~pkts
-          | None -> Nfactor.Equiv.random_testing ~seed ~trials ex
+              (Nfactor.Equiv.differential ex ~pkts, "packets from " ^ file)
+          | None -> (Nfactor.Equiv.random_testing ~seed ~trials ex, "random packets")
         in
         if Nfactor.Equiv.ok v then
-          Fmt.pr "%s: %d/%d random packets agree (program == model)@." name v.Nfactor.Equiv.trials
-            v.Nfactor.Equiv.trials
+          Fmt.pr "%s: %d/%d %s agree (program == model)@." name v.Nfactor.Equiv.trials
+            v.Nfactor.Equiv.trials source
         else begin
           Fmt.pr "%s: %d mismatch(es) out of %d:@." name
             (List.length v.Nfactor.Equiv.mismatches)
@@ -334,6 +334,17 @@ let time_traffic tr consume =
 
 let mpps tr secs = if secs > 0. then float_of_int tr.n /. secs /. 1e6 else 0.
 
+(* Every --check: compare [obs] against [reference]; say what agreed
+   when they do, else print the verdict and exit 1. *)
+let check_against ~reference obs pair parts =
+  let v = Nfactor_runtime.Differential.compare ~reference obs in
+  if Nfactor_runtime.Differential.ok v then
+    Fmt.pr "check: %s on %d packets (%s)@." pair v.Nfactor_runtime.Differential.packets parts
+  else begin
+    Fmt.epr "check FAILED: %a@." Nfactor_runtime.Differential.pp_verdict v;
+    exit 1
+  end
+
 let run_cmd =
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print engine counters as JSON.") in
   let check =
@@ -355,33 +366,6 @@ let run_cmd =
             Fmt.pr "plan: %a@." Nfactor_runtime.Compile.pp_plan plan;
             Fmt.pr "%a@." Nfactor_runtime.Engine.pp_stats eng;
             Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps tr secs)
-          end;
-          if check then begin
-            if capacity <> None then
-              fail "--check requires an unbounded store (LRU eviction diverges from the reference interpreter by design)";
-            let pkts = Array.to_list (packet_stream tr) in
-            let ref_store, ref_out = Nfactor.Model_interp.run model ~store ~pkts in
-            let eng2 = Nfactor_runtime.Engine.create plan ~store in
-            let outcomes = Nfactor_runtime.Engine.run_batch eng2 (Array.of_list pkts) in
-            let out_ok =
-              List.for_all2
-                (fun ref_pkts (o : Nfactor_runtime.Engine.outcome) ->
-                  List.length ref_pkts = List.length o.Nfactor_runtime.Engine.outputs
-                  && List.for_all2 Packet.Pkt.equal ref_pkts o.Nfactor_runtime.Engine.outputs)
-                ref_out (Array.to_list outcomes)
-            in
-            let store_ok =
-              Nfactor.Model_interp.Smap.equal Symexec.Value.equal ref_store
-                (Nfactor_runtime.Engine.snapshot eng2)
-            in
-            if out_ok && store_ok then
-              Fmt.pr "check: engine == interpreter on %d packets (outputs and final state)@." n
-            else begin
-              Fmt.epr "check FAILED: outputs %s, final state %s@."
-                (if out_ok then "agree" else "DIFFER")
-                (if store_ok then "agrees" else "DIFFERS");
-              exit 1
-            end
           end
         end
         else begin
@@ -405,59 +389,29 @@ let run_cmd =
                   (Nfactor_runtime.Shard.batches sh);
                 Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
                   (mpps tr secs) shards
-              end;
-              if check then begin
-                if capacity <> None then
-                  fail "--check requires an unbounded store (eviction order differs across shard clocks by design)";
-                let pkts = packet_stream tr in
-                let eng = Nfactor_runtime.Engine.create plan ~store in
-                let expected = Nfactor_runtime.Engine.run_batch eng pkts in
-                let sh2 =
-                  Nfactor_runtime.Shard.create ~nshards:shards model ~config:store
-                in
-                Fun.protect
-                  ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh2)
-                  (fun () ->
-                    let got = Nfactor_runtime.Shard.run_batch sh2 pkts in
-                    let out_ok = ref true in
-                    Array.iteri
-                      (fun i (e : Nfactor_runtime.Engine.outcome) ->
-                        let g = got.(i) in
-                        if
-                          e.Nfactor_runtime.Engine.fired
-                            <> g.Nfactor_runtime.Engine.fired
-                          || List.length e.Nfactor_runtime.Engine.outputs
-                             <> List.length g.Nfactor_runtime.Engine.outputs
-                          || not
-                               (List.for_all2 Packet.Pkt.equal
-                                  e.Nfactor_runtime.Engine.outputs
-                                  g.Nfactor_runtime.Engine.outputs)
-                        then out_ok := false)
-                      expected;
-                    let store_ok =
-                      Nfactor.Model_interp.Smap.equal Symexec.Value.equal
-                        (Nfactor_runtime.Engine.snapshot eng)
-                        (Nfactor_runtime.Shard.snapshot sh2)
-                    in
-                    (* Same nf, same plan, unbounded stores: the JSON
-                       rendering compares every counter at once. *)
-                    let stats_ok =
-                      Nfactor_runtime.Engine.stats_json_of ~nf:name ~plan ~evictions:0
-                        (Nfactor_runtime.Shard.merged_stats sh2)
-                      = Nfactor_runtime.Engine.stats_json eng
-                    in
-                    if !out_ok && store_ok && stats_ok then
-                      Fmt.pr
-                        "check: %d shards == single engine on %d packets (outputs, merged state, merged counters)@."
-                        shards n
-                    else begin
-                      Fmt.epr "check FAILED: outputs %s, merged state %s, merged counters %s@."
-                        (if !out_ok then "agree" else "DIFFER")
-                        (if store_ok then "agrees" else "DIFFERS")
-                        (if stats_ok then "agree" else "DIFFER");
-                      exit 1
-                    end)
               end)
+        end;
+        if check then begin
+          if capacity <> None then
+            fail "--check requires an unbounded store (%s by design)"
+              (if shards = 1 then "LRU eviction diverges from the reference interpreter"
+               else "eviction order differs across shard clocks");
+          let pkts = packet_stream tr in
+          let engine =
+            Nfactor_runtime.Differential.engine (Nfactor_runtime.Engine.create plan ~store) pkts
+          in
+          if shards = 1 then
+            check_against
+              ~reference:(Nfactor_runtime.Differential.interp model ~store pkts)
+              engine "engine == interpreter" "outputs and final state"
+          else
+            let sh = Nfactor_runtime.Shard.create ~nshards:shards model ~config:store in
+            check_against ~reference:engine
+              (Fun.protect
+                 ~finally:(fun () -> Nfactor_runtime.Shard.shutdown sh)
+                 (fun () -> Nfactor_runtime.Differential.shard sh pkts))
+              (Printf.sprintf "%d shards == single engine" shards)
+              "outputs, merged state, merged counters"
         end)
       arg
   in
@@ -565,32 +519,6 @@ let chain_arg =
   let doc = "Service chain as comma-separated NFs in traversal order, e.g. firewall,nat,snort." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CHAIN" ~doc)
 
-(* Differential check of a chain engine against the reference
-   interpreter chain on a concrete stream: per-packet outputs and
-   per-hop final stores. *)
-let chain_check_interp nodes (eng : Nfactor_runtime.Chainengine.t) pkts =
-  let ref_chain =
-    Verify.Network.chain
-      (List.map (fun (id, m, s) -> Verify.Network.node id m s) nodes)
-  in
-  let ref_results = Verify.Network.run ref_chain (Array.to_list pkts) in
-  let outs = Nfactor_runtime.Chainengine.run_batch eng pkts in
-  let out_ok =
-    List.for_all2
-      (fun (ref_pkts, _) got ->
-        List.length ref_pkts = List.length got
-        && List.for_all2 Packet.Pkt.equal ref_pkts got)
-      ref_results (Array.to_list outs)
-  in
-  let store_ok =
-    List.for_all2
-      (fun (n : Verify.Network.node) (_, got) ->
-        Nfactor.Model_interp.Smap.equal Symexec.Value.equal n.Verify.Network.store got)
-      ref_chain.Verify.Network.nodes
-      (Nfactor_runtime.Chainengine.snapshot_hops eng)
-  in
-  (out_ok, store_ok)
-
 let chain_run_cmd =
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Print chain counters as JSON.") in
   let check =
@@ -609,18 +537,6 @@ let chain_run_cmd =
         Fmt.pr "%a@." Nfactor_runtime.Chainplan.pp cp;
         Fmt.pr "%a@." Nfactor_runtime.Chainengine.pp_stats eng;
         Fmt.pr "%d packets in %.3f ms (%.2f Mpps)@." n (secs *. 1e3) (mpps tr secs)
-      end;
-      if check then begin
-        let eng2 = Nfactor_runtime.Chainengine.create cp in
-        let out_ok, store_ok = chain_check_interp nodes eng2 (packet_stream tr) in
-        if out_ok && store_ok then
-          Fmt.pr "check: fused chain == interpreter chain on %d packets (outputs and per-hop final stores)@." n
-        else begin
-          Fmt.epr "check FAILED: outputs %s, stores %s@."
-            (if out_ok then "ok" else "DIFFER")
-            (if store_ok then "ok" else "DIFFER");
-          exit 1
-        end
       end
     end
     else begin
@@ -637,48 +553,24 @@ let chain_run_cmd =
               (secs *. 1e3)
           else
             Fmt.pr "%d packets in %.3f ms (%.2f Mpps, %d shards)@." n (secs *. 1e3)
-              (mpps tr secs) shards;
-          if check then begin
-            match Nfactor_runtime.Chainengine.shard cp ~nshards:shards with
-            | Error e -> fail "%s" e
-            | Ok sh2 ->
-                let pkts = packet_stream tr in
-                let eng = Nfactor_runtime.Chainengine.create cp in
-                let single = Nfactor_runtime.Chainengine.run_batch eng pkts in
-                let shard_outs = Nfactor_runtime.Chainengine.shard_run_batch sh2 pkts in
-                let out_ok =
-                  Array.for_all2
-                    (fun a b ->
-                      List.length a = List.length b
-                      && List.for_all2 Packet.Pkt.equal a b)
-                    single shard_outs
-                in
-                let store_ok =
-                  List.for_all2
-                    (fun (_, a) (_, b) ->
-                      Nfactor.Model_interp.Smap.equal Symexec.Value.equal a b)
-                    (Nfactor_runtime.Chainengine.snapshot_hops eng)
-                    (Nfactor_runtime.Chainengine.shard_snapshot_hops sh2)
-                in
-                let stats_ok =
-                  Nfactor_runtime.Chainengine.hop_stats eng
-                  = Nfactor_runtime.Chainengine.shard_hop_stats sh2
-                  && eng.Nfactor_runtime.Chainengine.fused_walks
-                     = Nfactor_runtime.Chainengine.shard_fused_walks sh2
-                  && eng.Nfactor_runtime.Chainengine.injected
-                     = Nfactor_runtime.Chainengine.shard_injected sh2
-                in
-                if out_ok && store_ok && stats_ok then
-                  Fmt.pr "check: %d shards == single chain engine on %d packets (outputs, per-hop stores and counters)@."
-                    shards n
-                else begin
-                  Fmt.epr "check FAILED: outputs %s, stores %s, counters %s@."
-                    (if out_ok then "ok" else "DIFFER")
-                    (if store_ok then "ok" else "DIFFER")
-                    (if stats_ok then "ok" else "DIFFER");
-                  exit 1
-                end
-          end
+              (mpps tr secs) shards
+    end;
+    if check then begin
+      let pkts = packet_stream tr in
+      let single =
+        Nfactor_runtime.Differential.chain (Nfactor_runtime.Chainengine.create cp) pkts
+      in
+      if shards = 1 then
+        check_against ~reference:(Nfactor_runtime.Differential.network nodes pkts) single
+          "fused chain == interpreter chain" "outputs and per-hop final stores"
+      else
+        match Nfactor_runtime.Chainengine.shard cp ~nshards:shards with
+        | Error e -> fail "%s" e
+        | Ok sh ->
+            check_against ~reference:single
+              (Nfactor_runtime.Differential.sharded_chain sh pkts)
+              (Printf.sprintf "%d shards == single chain engine" shards)
+              "outputs, per-hop stores and counters"
     end
   in
   Cmd.v

@@ -47,25 +47,18 @@ let () =
     (float_of_int n /. secs /. 1e6);
 
   section "5. Differential check against the reference interpreter";
-  let pkts = Packet.Traffic.random_stream ~seed:2016 ~n () in
-  let ref_store, ref_out = Model_interp.run model ~store ~pkts in
-  let eng2 = Engine.create plan ~store in
-  let outcomes = Engine.run_batch eng2 (Array.of_list pkts) in
-  let out_ok =
-    List.for_all2
-      (fun ref_pkts (o : Engine.outcome) ->
-        List.length ref_pkts = List.length o.Engine.outputs
-        && List.for_all2 Packet.Pkt.equal ref_pkts o.Engine.outputs)
-      ref_out (Array.to_list outcomes)
+  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:2016 ~n ()) in
+  let v =
+    Differential.compare
+      ~reference:(Differential.interp model ~store pkts)
+      (Differential.engine (Engine.create plan ~store) pkts)
   in
-  let store_ok =
-    Model_interp.Smap.equal Symexec.Value.equal ref_store (Engine.snapshot eng2)
-  in
-  Fmt.pr "outputs identical: %b, final state identical: %b@." out_ok store_ok;
-  if not (out_ok && store_ok) then exit 1;
+  Fmt.pr "engine vs interpreter (outputs, fired entries, final state): %a@."
+    Differential.pp_verdict v;
+  if not (Differential.ok v) then exit 1;
 
   section "6. Bounded flow tables (LRU eviction)";
   let eng3 = Engine.create ~capacity:64 plan ~store in
-  ignore (Engine.run_batch eng3 (Array.of_list pkts));
+  ignore (Engine.run_batch eng3 pkts);
   Fmt.pr "with 64-entry tables: %d eviction(s), table sizes bounded@."
     (Flowstate.evictions eng3.Engine.state)

@@ -104,14 +104,3 @@ let of_string text =
            try Some (of_line t)
            with Invalid_argument msg -> invalid_arg (Printf.sprintf "line %d: %s" (i + 1) msg))
   |> List.filter_map Fun.id
-
-let save ~file pkts =
-  let oc = open_out file in
-  output_string oc (to_string pkts);
-  close_out oc
-
-let load ~file =
-  let ic = open_in file in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  of_string text

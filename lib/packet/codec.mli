@@ -16,6 +16,3 @@ val to_string : Pkt.t list -> string
 val of_string : string -> Pkt.t list
 (** @raise Invalid_argument whose message begins [line N:] with the
     1-based number of the first malformed line. *)
-
-val save : file:string -> Pkt.t list -> unit
-val load : file:string -> Pkt.t list

@@ -9,11 +9,6 @@ let atom = function Atom s -> s | s -> err "expected atom" s
 let int_atom s = int_of_atom (atom s)
 let bool_atom s = bool_of_atom (atom s)
 
-(* Floats round-trip exactly through the hexadecimal literal notation
-   (%h), which stays inside the unquoted atom alphabet. *)
-let float_atom s =
-  match float_of_string_opt (atom s) with Some f -> f | None -> err "bad float" s
-
 (* ------------------------------------------------------------------ *)
 (* StateAlyzer classification                                         *)
 (* ------------------------------------------------------------------ *)
@@ -199,7 +194,6 @@ let sexp_of_stats (s : Explore.stats) =
       List [ Atom "solver-calls"; Atom (string_of_int s.Explore.solver_calls) ];
       List [ Atom "cache-hits"; Atom (string_of_int s.Explore.solver_cache_hits) ];
       List [ Atom "cache-misses"; Atom (string_of_int s.Explore.solver_cache_misses) ];
-      List [ Atom "solver-time"; Atom (Printf.sprintf "%h" s.Explore.solver_time_s) ];
       List [ Atom "forks"; Atom (string_of_int s.Explore.forks) ];
       List [ Atom "max-fork-depth"; Atom (string_of_int s.Explore.max_fork_depth) ];
       List
@@ -222,7 +216,6 @@ let stats_of_sexp = function
         List [ Atom "solver-calls"; solver_calls ];
         List [ Atom "cache-hits"; cache_hits ];
         List [ Atom "cache-misses"; cache_misses ];
-        List [ Atom "solver-time"; solver_time ];
         List [ Atom "forks"; forks ];
         List [ Atom "max-fork-depth"; max_fork_depth ];
         List (Atom "fork-depths" :: fork_depths);
@@ -237,7 +230,7 @@ let stats_of_sexp = function
         solver_calls = int_atom solver_calls;
         solver_cache_hits = int_atom cache_hits;
         solver_cache_misses = int_atom cache_misses;
-        solver_time_s = float_atom solver_time;
+        solver_time_s = 0.; (* a replay runs no solver *)
         forks = int_atom forks;
         max_fork_depth = int_atom max_fork_depth;
         fork_depths =

@@ -6,13 +6,14 @@ let passes =
 (* Implementation version folded into every pass fingerprint: bump when
    any stage's semantics or artifact encoding changes, so persisted
    caches from older builds read as stale instead of wrong. *)
-let stage_version = 5
+let stage_version = 6
 (* 2: match compiler v2 — FSM/decision-tree dispatch plans
    3: worklist explorer — merge/prune stats fields, ite terms in
       artifacts, join-point merging behind the "merge" param
    4: one term codec — model format v3 (refine, analyze) and Model_io's
       table and snapshot encodings in explore artifacts
-   5: analyze artifacts drop the input model (analysis format v2) *)
+   5: analyze artifacts drop the input model (analysis format v2)
+   6: explore artifacts drop the wall-clock solver time *)
 
 type artifact =
   | A_canon of (Nfl.Ast.program * string)

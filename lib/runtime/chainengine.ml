@@ -206,7 +206,6 @@ let shard ?capacity (cp : Chainplan.t) ~nshards =
       in
       Ok { scp; sspec; shards }
 
-let shard_nshards sh = Array.length sh.shards
 let shard_route sh pkt = Shardplan.hash sh.sspec pkt mod Array.length sh.shards
 
 let shard_run_batch sh pkts =

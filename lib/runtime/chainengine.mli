@@ -61,7 +61,6 @@ val snapshot_hops : t -> (string * Nfactor.Model_interp.store) list
     — comparable against {!Verify.Network} node stores. *)
 
 val hop_stats : t -> (string * Engine.stats) list
-val evictions : t -> int
 val pp_stats : Format.formatter -> t -> unit
 
 val stats_json : t -> string
@@ -77,9 +76,6 @@ val shard : ?capacity:int -> Chainplan.t -> nshards:int -> (sharded, string) res
     {!Chainplan.shard_spec}) when the chain does not shard. Re-links
     the plan with [shared:true] when needed, so the caller's plan is
     untouched. *)
-
-val shard_nshards : sharded -> int
-val shard_route : sharded -> Packet.Pkt.t -> int
 
 val shard_run_batch : sharded -> Packet.Pkt.t array -> Packet.Pkt.t list array
 (** In-order sequential execution (shard selected per packet) — the

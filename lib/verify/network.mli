@@ -49,5 +49,4 @@ val survey :
 (** Inject every probe; report (input, offending output, trace) for
     each that violates the invariant. *)
 
-val pp_hop : Format.formatter -> hop -> unit
 val pp_trace : Format.formatter -> hop list -> unit

@@ -45,7 +45,8 @@ dune exec bench/main.exe -- --rt
 # on-disk artifact store. The second run must be a pure replay (zero
 # recomputed passes) and must reproduce byte-identical models.
 CACHE_DIR=$(mktemp -d)
-trap 'rm -rf "$CACHE_DIR"' EXIT
+COLD_DIR=$(mktemp -d)
+trap 'rm -rf "$CACHE_DIR" "$COLD_DIR"' EXIT
 dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > synth_cold.json
 dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$CACHE_DIR" --json > synth_warm.json
 grep -q '"misses": 0' synth_warm.json
@@ -58,6 +59,10 @@ grep '"model_md5"' synth_warm.json > warm_models.txt
 cmp cold_models.txt warm_models.txt
 cmp cold_models.txt test/data/corpus_model_md5.txt
 rm -f synth_cold.json synth_warm.json cold_models.txt warm_models.txt
+# No artifact records wall-clock time, so a second cold store written
+# into a fresh directory is byte-identical to the first.
+dune exec bin/nfactor_cli.exe -- synth-all --cache-dir "$COLD_DIR" --json > /dev/null
+diff -r "$CACHE_DIR" "$COLD_DIR"
 
 # Analyzer replay gate: the analyze artifact stores only what the refine
 # artifact does not, so a second process that replays it from the
@@ -77,6 +82,12 @@ for args in "import $CACHE_DIR" "export lb -o $CACHE_DIR/missing/x.model" \
   dune exec bin/nfactor_cli.exe -- $args 2> /dev/null || status=$?
   test "$status" -eq 1
 done
+
+# A replayed trace is reported as packets from its file, not as random
+# packets.
+dune exec bin/nfactor_cli.exe -- gen-trace -n 5 -o "$CACHE_DIR/t.trace"
+dune exec bin/nfactor_cli.exe -- accuracy --trace "$CACHE_DIR/t.trace" lb \
+  | grep -q "5/5 packets from $CACHE_DIR/t.trace agree"
 
 # Model interchange gates: the current format exports and re-imports
 # (dpi's merged model included), a file written by the previous format

@@ -27,10 +27,7 @@ let node name =
 
 let link names = Chainplan.link (List.map node names)
 
-let stores_equal = Nfactor.Model_interp.Smap.equal Value.equal
-
-let outputs_equal a b =
-  List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b
+let check_agree = Test_differential.check_agree
 
 (* ------------------------------------------------------------------ *)
 (* Linking and renaming                                               *)
@@ -46,12 +43,16 @@ let test_rename_bijection () =
     (fun name ->
       Alcotest.(check bool) (name ^ " prefixed") true (String.starts_with ~prefix:"h0:" name))
     (rm.Nfactor.Model.cfg_vars @ rm.Nfactor.Model.ois_vars);
-  let pkts = Packet.Traffic.random_stream ~seed:7 ~n:500 () in
-  let s1, o1 = Nfactor.Model_interp.run m ~store ~pkts in
-  let s2, o2 = Nfactor.Model_interp.run rm ~store:rstore ~pkts in
-  Alcotest.(check bool) "outputs equal" true (List.for_all2 outputs_equal o1 o2);
-  Alcotest.(check bool) "stores equal modulo prefix" true
-    (stores_equal s2 (Chainplan.rename_store ~prefix:"h0:" s1))
+  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:7 ~n:500 ()) in
+  let orig = Differential.interp m ~store pkts in
+  check_agree "renamed model"
+    ~reference:
+      {
+        orig with
+        Differential.stores =
+          List.map (fun (id, s) -> (id, Chainplan.rename_store ~prefix:"h0:" s)) orig.Differential.stores;
+      }
+    (Differential.interp rm ~store:rstore pkts)
 
 let test_link_shape () =
   let cp = link [ "firewall"; "nat"; "snort" ] in
@@ -71,7 +72,8 @@ let test_link_shape () =
     (fun name (id, s) ->
       Alcotest.(check string) "hop id" name id;
       let _, _, orig = node name in
-      Alcotest.(check bool) (name ^ " split store") true (stores_equal orig s))
+      Alcotest.(check bool) (name ^ " split store") true
+        (Nfactor.Model_interp.Smap.equal Value.equal orig s))
     [ "firewall"; "nat"; "snort" ]
     (Chainplan.split_store cp cp.Chainplan.store0)
 
@@ -110,55 +112,29 @@ let ref_chain names =
   Verify.Network.chain
     (List.map (fun n -> let id, m, s = node n in Verify.Network.node id m s) names)
 
-let check_differential ?(seed = 2016) ~n names =
-  let pkts = Packet.Traffic.random_stream ~seed ~n () in
-  let chain = ref_chain names in
-  let ref_results = Verify.Network.run chain pkts in
-  let eng = Chainengine.create (link names) in
-  let outs = Chainengine.run_batch eng (Array.of_list pkts) in
-  List.iteri
-    (fun i (ref_pkts, _) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "outputs of packet %d" i)
-        true
-        (outputs_equal ref_pkts outs.(i)))
-    ref_results;
-  List.iter2
-    (fun (node : Verify.Network.node) (id, got) ->
-      Alcotest.(check string) "store hop order" node.Verify.Network.id id;
-      Alcotest.(check bool) (id ^ " final store") true
-        (stores_equal node.Verify.Network.store got))
-    chain.Verify.Network.nodes
-    (Chainengine.snapshot_hops eng)
+(* The linked chain against the interpreter chain: outputs per packet
+   and each hop's final store, hops in the same order. *)
+let check_differential names pkts =
+  let reference = Differential.network (List.map node names) pkts in
+  let got = Differential.chain (Chainengine.create (link names)) pkts in
+  Alcotest.(check (list string)) "store hop order"
+    (List.map fst reference.Differential.stores) (List.map fst got.Differential.stores);
+  check_agree (String.concat "," names) ~reference got
 
-let test_differential_3nf () = check_differential ~n:4000 [ "firewall"; "nat"; "snort" ]
-let test_differential_fused () = check_differential ~n:4000 [ "nat"; "firewall" ]
-let test_differential_mirror_lb () = check_differential ~n:4000 [ "mirror"; "lb" ]
+let random_pkts ~n = Array.of_list (Packet.Traffic.random_stream ~seed:2016 ~n ())
+
+let test_differential_3nf () = check_differential [ "firewall"; "nat"; "snort" ] (random_pkts ~n:4000)
+let test_differential_fused () = check_differential [ "nat"; "firewall" ] (random_pkts ~n:4000)
+let test_differential_mirror_lb () = check_differential [ "mirror"; "lb" ] (random_pkts ~n:4000)
 
 let test_differential_stateful () =
-  check_differential ~n:4000 [ "portknock"; "synguard" ];
-  check_differential ~n:4000 [ "acl"; "ratelimiter" ]
+  check_differential [ "portknock"; "synguard" ] (random_pkts ~n:4000);
+  check_differential [ "acl"; "ratelimiter" ] (random_pkts ~n:4000)
 
 let test_differential_churn () =
-  let names = [ "firewall"; "nat"; "snort" ] in
-  let gen () = Packet.Traffic.churn_gen ~concurrent:48 ~seed:5 () in
-  let ch = gen () in
-  let pkts = List.init 4000 (fun _ -> Packet.Traffic.churn_next ch) in
-  let chain = ref_chain names in
-  let ref_results = Verify.Network.run chain pkts in
-  let eng = Chainengine.create (link names) in
-  let outs = Chainengine.run_batch eng (Array.of_list pkts) in
-  List.iteri
-    (fun i (ref_pkts, _) ->
-      Alcotest.(check bool) (Printf.sprintf "churn outputs %d" i) true
-        (outputs_equal ref_pkts outs.(i)))
-    ref_results;
-  List.iter2
-    (fun (node : Verify.Network.node) (_, got) ->
-      Alcotest.(check bool) (node.Verify.Network.id ^ " churn store") true
-        (stores_equal node.Verify.Network.store got))
-    chain.Verify.Network.nodes
-    (Chainengine.snapshot_hops eng)
+  let ch = Packet.Traffic.churn_gen ~concurrent:48 ~seed:5 () in
+  check_differential [ "firewall"; "nat"; "snort" ]
+    (Array.init 4000 (fun _ -> Packet.Traffic.churn_next ch))
 
 let test_trace_matches_interp () =
   let names = [ "firewall"; "nat"; "snort" ] in
@@ -169,14 +145,14 @@ let test_trace_matches_interp () =
     (fun p ->
       let ref_out, ref_hops = Verify.Network.push chain p in
       let out, hops = Chainengine.step_trace eng p in
-      Alcotest.(check bool) "trace outputs" true (outputs_equal ref_out out);
+      Alcotest.(check bool) "trace outputs" true (List.equal Packet.Pkt.equal ref_out out);
       List.iter2
         (fun (rh : Verify.Network.hop) (h : Chainengine.hoprec) ->
           Alcotest.(check string) "hop id" rh.Verify.Network.node_id h.Chainengine.hop_id;
           Alcotest.(check bool) "entered" true
-            (outputs_equal rh.Verify.Network.entered h.Chainengine.entered);
+            (List.equal Packet.Pkt.equal rh.Verify.Network.entered h.Chainengine.entered);
           Alcotest.(check bool) "left" true
-            (outputs_equal rh.Verify.Network.left h.Chainengine.left))
+            (List.equal Packet.Pkt.equal rh.Verify.Network.left h.Chainengine.left))
         ref_hops hops)
     pkts
 
@@ -207,22 +183,12 @@ let test_shard_exactness () =
   let names = [ "snort"; "synguard"; "ips" ] in
   let cp = link names in
   let pkts = Array.of_list (Packet.Traffic.random_stream ~seed:2016 ~n:4000 ()) in
-  let single = Chainengine.create cp in
-  let single_outs = Chainengine.run_batch single pkts in
   match Chainengine.shard cp ~nshards:3 with
   | Error e -> Alcotest.fail e
   | Ok sh ->
-      let shard_outs = Chainengine.shard_run_batch sh pkts in
-      Array.iteri
-        (fun i outs ->
-          Alcotest.(check bool) (Printf.sprintf "sharded outputs %d" i) true
-            (outputs_equal outs shard_outs.(i)))
-        single_outs;
-      List.iter2
-        (fun (id, a) (_, b) ->
-          Alcotest.(check bool) (id ^ " merged store") true (stores_equal a b))
-        (Chainengine.snapshot_hops single)
-        (Chainengine.shard_snapshot_hops sh);
+      check_agree "3 shards"
+        ~reference:(Differential.chain (Chainengine.create cp) pkts)
+        (Differential.sharded_chain sh pkts);
       Alcotest.(check int) "injected" (Array.length pkts) (Chainengine.shard_injected sh)
 
 let suite =

@@ -55,15 +55,6 @@ let test_malformed () =
       Alcotest.(check bool) ("names line 3: " ^ msg) true (String.starts_with ~prefix:"line 3:" msg)
   | _ -> Alcotest.fail "accepted a malformed trace"
 
-let test_file_io () =
-  let file = Filename.temp_file "nfactor" ".trace" in
-  let pkts = Traffic.flow_stream ~seed:5 ~flows:3 ~data_pkts:1 () in
-  Codec.save ~file pkts;
-  let pkts' = Codec.load ~file in
-  Sys.remove file;
-  Alcotest.(check bool) "file roundtrip" true
-    (List.length pkts = List.length pkts' && List.for_all2 Pkt.equal pkts pkts')
-
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"codec: line roundtrip on random packets" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -79,6 +70,5 @@ let suite =
     Alcotest.test_case "flag names" `Quick test_flag_names;
     Alcotest.test_case "numeric proto" `Quick test_numeric_proto;
     Alcotest.test_case "malformed rejected" `Quick test_malformed;
-    Alcotest.test_case "file io" `Quick test_file_io;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
   ]

@@ -466,7 +466,6 @@ let test_malformed_artifacts () =
       ("slices: non-numeric sid", slices, "(nfactor-slices (pkt 1) (state) (union 1 x2))", "x2");
       ("paths: non-numeric count", paths_of, damage "(paths [0-9]+)" "(paths 1x)", "1x");
       ("paths: non-boolean flag", paths_of, damage "(truncated false)" "(truncated maybe)", "maybe");
-      ("paths: bad float", paths_of, damage "(solver-time [^)]*)" "(solver-time 0xq)", "0xq");
       ("report: non-numeric entry", report, finding ~entry:"3x" ~proven:"true", "3x");
       ("report: non-boolean flag", report, finding ~entry:"3" ~proven:"yes", "yes");
     ]

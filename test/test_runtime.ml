@@ -20,87 +20,48 @@ let extraction name =
       Hashtbl.add extractions name ex;
       ex
 
-let stores_equal = Nfactor.Model_interp.Smap.equal Value.equal
+let check_agree = Test_differential.check_agree
 
-let outputs_equal a b =
-  List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b
-
-(* Engine vs interpreter, packet by packet: fired entry, emitted
-   packets and the store after every step must agree. *)
-let differential ?capacity name ~seed ~n () =
+(* Engine vs interpreter on seeded traffic: fired entry and emitted
+   packets per packet, final store, through the one differential
+   check. *)
+let differential name ~seed ~n () =
   let ex = extraction name in
   let model = ex.Nfactor.Extract.model in
   let store = Nfactor.Model_interp.initial_store ex in
-  let plan = Compile.compile model ~config:store in
-  let eng = Engine.create ?capacity plan ~store in
-  let acts = Nfactor.Model_interp.actives model store in
-  let pkts = Packet.Traffic.random_stream ~seed ~n () in
-  let _ =
-    List.fold_left
-      (fun (st, i) pkt ->
-        let r = Nfactor.Model_interp.step ~actives:acts model st pkt in
-        let o = Engine.step eng pkt in
-        Alcotest.(check (option int))
-          (Printf.sprintf "%s: fired entry, packet %d" name i)
-          r.Nfactor.Model_interp.matched o.Engine.fired;
-        if not (outputs_equal r.Nfactor.Model_interp.outputs o.Engine.outputs) then
-          Alcotest.failf "%s: outputs differ on packet %d" name i;
-        (r.Nfactor.Model_interp.store, i + 1))
-      (store, 0) pkts
-  in
-  ()
-
-let final_state name ~seed ~n () =
-  let ex = extraction name in
-  let model = ex.Nfactor.Extract.model in
-  let store = Nfactor.Model_interp.initial_store ex in
-  let pkts = Packet.Traffic.random_stream ~seed ~n () in
-  let ref_store, _ = Nfactor.Model_interp.run model ~store ~pkts in
-  let eng = Engine.of_model model ~config:store ~store in
-  let _ = Engine.run_batch eng (Array.of_list pkts) in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: final store equal" name)
-    true
-    (stores_equal ref_store (Engine.snapshot eng))
+  let pkts = Array.of_list (Packet.Traffic.random_stream ~seed ~n ()) in
+  check_agree name
+    ~reference:(Differential.interp model ~store pkts)
+    (Differential.engine (Engine.of_model model ~config:store ~store) pkts)
 
 (* The one timed driver ([Packet.Traffic.time_batches]) feeding an
    executor's [run_batch] — the path every throughput number the CLI
-   and bench print goes through — must leave the same stores, counters
-   and packet count as one [run_batch] over the materialized stream,
-   for the single engine, the 2-domain sharded engine and a chain
-   (whose counter JSON carries fused walks, handoffs and deliveries).
-   The batch size does not divide [n], so a short last chunk is
-   covered too. *)
-type observation = {
-  stores : Nfactor.Model_interp.store list;
-  counters : string;
-  packets : int;
-}
-
-(* A subject runs [feed] against a fresh executor, [feed] handing it
-   packet arrays through the executor's [run_batch]. *)
+   and bench print goes through — must leave the same stores and
+   counters (packet counts included) as one [run_batch] over the
+   materialized stream, for the single engine, the 2-domain sharded
+   engine and a chain (whose counters carry fused walks and injected
+   packets). The batch size does not divide [n], so a short last chunk
+   is covered too. A subject runs [feed] against a fresh executor,
+   [feed] handing it packet arrays through the executor's [run_batch],
+   then observes the executor as it stands (an empty batch). *)
 let engine_subject name feed =
   let ex = extraction name in
   let store = Nfactor.Model_interp.initial_store ex in
   let e = Engine.create (Compile.compile ex.Nfactor.Extract.model ~config:store) ~store in
   feed (fun pkts -> ignore (Engine.run_batch e pkts));
-  { stores = [ Engine.snapshot e ]; counters = Engine.stats_json e; packets = e.Engine.stats.Engine.packets }
+  Differential.engine e [||]
 
 let shard_subject name feed =
   let ex = extraction name in
-  let model = ex.Nfactor.Extract.model in
-  let store = Nfactor.Model_interp.initial_store ex in
-  let sh = Shard.create ~nshards:2 model ~config:store in
+  let sh =
+    Shard.create ~nshards:2 ex.Nfactor.Extract.model
+      ~config:(Nfactor.Model_interp.initial_store ex)
+  in
   Fun.protect
     ~finally:(fun () -> Shard.shutdown sh)
     (fun () ->
       feed (fun pkts -> ignore (Shard.run_batch sh pkts));
-      let s = Shard.merged_stats sh in
-      {
-        stores = [ Shard.snapshot sh ];
-        counters = Engine.stats_json_of ~nf:name ~plan:(Shard.plan sh) ~evictions:0 s;
-        packets = s.Engine.packets;
-      })
+      Differential.shard sh [||])
 
 let chain_subject names feed =
   let node name =
@@ -109,11 +70,7 @@ let chain_subject names feed =
   in
   let c = Chainengine.create (Chainplan.link (List.map node names)) in
   feed (fun pkts -> ignore (Chainengine.run_batch c pkts));
-  {
-    stores = List.map snd (Chainengine.snapshot_hops c);
-    counters = Chainengine.stats_json c;
-    packets = c.Chainengine.injected;
-  }
+  Differential.chain c [||]
 
 let test_replay_matches_batch () =
   let n = 1000 and seed = 7 in
@@ -139,17 +96,13 @@ let test_replay_matches_batch () =
     (fun (subject, run) ->
       List.iter
         (fun (src, next, stream) ->
-          let label what = Printf.sprintf "%s, %s traffic: %s" subject src what in
           let timed =
             run (fun consume ->
                 ignore
                   (Packet.Traffic.time_batches ~batch:384 ~next:(next ()) ~n consume))
           in
           let batch = run (fun consume -> consume (stream ())) in
-          Alcotest.(check int) (label "packets") n timed.packets;
-          Alcotest.(check bool) (label "stores") true
-            (List.equal stores_equal batch.stores timed.stores);
-          Alcotest.(check string) (label "counters") batch.counters timed.counters)
+          check_agree (Printf.sprintf "%s, %s traffic" subject src) ~reference:batch timed)
         sources)
     [
       ("engine lb", engine_subject "lb");
@@ -320,14 +273,11 @@ let prop_engine_agrees =
           let ex = extraction name in
           let model = ex.Nfactor.Extract.model in
           let store = Nfactor.Model_interp.initial_store ex in
-          let pkts = Packet.Traffic.random_stream ~seed ~n:120 () in
-          let ref_store, ref_out = Nfactor.Model_interp.run model ~store ~pkts in
-          let eng = Engine.of_model model ~config:store ~store in
-          let outs = Engine.run_batch eng (Array.of_list pkts) in
-          List.for_all2
-            (fun r (o : Engine.outcome) -> outputs_equal r o.Engine.outputs)
-            ref_out (Array.to_list outs)
-          && stores_equal ref_store (Engine.snapshot eng))
+          let pkts = Array.of_list (Packet.Traffic.random_stream ~seed ~n:120 ()) in
+          Differential.ok
+            (Differential.compare
+               ~reference:(Differential.interp model ~store pkts)
+               (Differential.engine (Engine.of_model model ~config:store ~store) pkts)))
         [ "lb"; "balance"; "snort"; "nat"; "portknock" ])
 
 let corpus_cases =
@@ -336,7 +286,7 @@ let corpus_cases =
       let name = e.Nfs.Corpus.name in
       [
         Alcotest.test_case (name ^ " differential 1000") `Slow (differential name ~seed:2016 ~n:1000);
-        Alcotest.test_case (name ^ " final state 1000") `Slow (final_state name ~seed:4242 ~n:1000);
+        Alcotest.test_case (name ^ " final state 1000") `Slow (differential name ~seed:4242 ~n:1000);
       ])
     Nfs.Corpus.all
 

@@ -28,27 +28,7 @@ let spec_of name =
   let plan = Compile.compile ~shared:true model ~config:store in
   Shardplan.analyze model ~config:store ~live:plan.Compile.live_idx
 
-let stores_equal = Nfactor.Model_interp.Smap.equal Value.equal
-
-let outputs_equal a b =
-  List.length a = List.length b && List.for_all2 Packet.Pkt.equal a b
-
-let check_stats_equal name (a : Engine.stats) (b : Engine.stats) =
-  let ck what x y =
-    Alcotest.(check int) (Printf.sprintf "%s: %s" name what) x y
-  in
-  ck "packets" a.Engine.packets b.Engine.packets;
-  ck "fsm_hits" a.Engine.fsm_hits b.Engine.fsm_hits;
-  ck "index_hits" a.Engine.index_hits b.Engine.index_hits;
-  ck "tree_hits" a.Engine.tree_hits b.Engine.tree_hits;
-  ck "scan_hits" a.Engine.scan_hits b.Engine.scan_hits;
-  ck "leaf_tests" a.Engine.leaf_tests b.Engine.leaf_tests;
-  ck "scan_tests" a.Engine.scan_tests b.Engine.scan_tests;
-  ck "miss_no_config" a.Engine.miss_no_config b.Engine.miss_no_config;
-  ck "miss_no_match" a.Engine.miss_no_match b.Engine.miss_no_match;
-  Alcotest.(check (array int))
-    (name ^ ": entry_hits")
-    a.Engine.entry_hits b.Engine.entry_hits
+let check_agree = Test_differential.check_agree
 
 (* A stream that exercises the stateful paths: interleaved
    conversations plus uniform random packets. *)
@@ -171,33 +151,11 @@ let shard_differential name ~nshards pkts () =
   let ex = extraction name in
   let model = ex.Nfactor.Extract.model in
   let store = Nfactor.Model_interp.initial_store ex in
-  let plan = Compile.compile model ~config:store in
-  let eng = Engine.create plan ~store in
-  let expected = Engine.run_batch eng pkts in
   let sh = Shard.create ~nshards model ~config:store in
-  let got =
-    Fun.protect
-      ~finally:(fun () -> Shard.shutdown sh)
-      (fun () -> Shard.run_batch sh pkts)
-  in
-  Array.iteri
-    (fun i (e : Engine.outcome) ->
-      let g = got.(i) in
-      Alcotest.(check (option int))
-        (Printf.sprintf "%s/%d shards: fired, packet %d" name nshards i)
-        e.Engine.fired g.Engine.fired;
-      if not (outputs_equal e.Engine.outputs g.Engine.outputs) then
-        Alcotest.failf "%s/%d shards: outputs differ on packet %d" name nshards
-          i)
-    expected;
-  Alcotest.(check bool)
-    (Printf.sprintf "%s/%d shards: merged store equals single-engine store" name
-       nshards)
-    true
-    (stores_equal (Engine.snapshot eng) (Shard.snapshot sh));
-  check_stats_equal
-    (Printf.sprintf "%s/%d shards: merged counters" name nshards)
-    eng.Engine.stats (Shard.merged_stats sh)
+  check_agree
+    (Printf.sprintf "%s/%d shards" name nshards)
+    ~reference:(Differential.engine (Engine.create (Compile.compile model ~config:store) ~store) pkts)
+    (Fun.protect ~finally:(fun () -> Shard.shutdown sh) (fun () -> Differential.shard sh pkts))
 
 let test_corpus_differential () =
   List.iter
@@ -232,28 +190,18 @@ let test_rcu_swap_midstream () =
   let store = Nfactor.Model_interp.initial_store ex in
   let pkts = mixed_stream ~seed:53 ~n:400 in
   let mid = Array.length pkts / 2 in
+  let first = Array.sub pkts 0 mid and second = Array.sub pkts mid (Array.length pkts - mid) in
+  (* One engine over the whole stream, observed at the same boundary. *)
   let eng = Engine.create (Compile.compile model ~config:store) ~store in
-  let expected = Engine.run_batch eng pkts in
   let sh = Shard.create ~nshards:2 model ~config:store in
   Fun.protect
     ~finally:(fun () -> Shard.shutdown sh)
     (fun () ->
-      let got1 = Shard.run_batch sh (Array.sub pkts 0 mid) in
+      check_agree "rcu, before the swap"
+        ~reference:(Differential.engine eng first) (Differential.shard sh first);
       Shard.swap_plan sh (Compile.compile ~shared:true model ~config:store);
-      let got2 =
-        Shard.run_batch sh (Array.sub pkts mid (Array.length pkts - mid))
-      in
-      let got = Array.append got1 got2 in
-      Array.iteri
-        (fun i (e : Engine.outcome) ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "rcu: fired, packet %d" i)
-            e.Engine.fired got.(i).Engine.fired)
-        expected;
-      Alcotest.(check bool) "rcu: merged store" true
-        (stores_equal (Engine.snapshot eng) (Shard.snapshot sh));
-      check_stats_equal "rcu: merged counters" eng.Engine.stats
-        (Shard.merged_stats sh))
+      check_agree "rcu, after the swap"
+        ~reference:(Differential.engine eng second) (Differential.shard sh second))
 
 let test_swap_rejects_unshared_plan () =
   let ex = extraction "portknock" in
