@@ -245,7 +245,7 @@ let model_lint ?(ordered = false) ?store (m : Model.t) =
             | Some st -> (
                 let cands =
                   (match Solver.concretize resolved.(j) with
-                  | Some asn -> [ Verify.Testgen.packet_of_assignment ~pkt_var asn ]
+                  | Some asn -> [ Verify.Testgen.overlay ~pkt_var asn Verify.Testgen.default_base ]
                   | None -> [])
                   @ Verify.Testgen.base_palette
                 in
@@ -324,7 +324,7 @@ let model_lint ?(ordered = false) ?store (m : Model.t) =
             | Some st -> (
                 let cands =
                   (match Solver.concretize (resolved.(i) @ resolved.(j)) with
-                  | Some asn -> [ Verify.Testgen.packet_of_assignment ~pkt_var asn ]
+                  | Some asn -> [ Verify.Testgen.overlay ~pkt_var asn Verify.Testgen.default_base ]
                   | None -> [])
                   @ Verify.Testgen.base_palette
                 in

@@ -160,6 +160,3 @@ val pp_plan : Format.formatter -> t -> unit
 val compile_expr : pkt_var:string -> Sexpr.t -> valfn
 (** Compiled evaluation, equal to {!Nfactor.Model_interp.eval} on every
     input (including its [Unresolved]/[Type_error] behavior). *)
-
-val compile_literal : pkt_var:string -> Solver.literal -> matcher
-(** Compiled {!Nfactor.Model_interp.literal_holds}. *)

@@ -141,26 +141,37 @@ let status_string = function
   | Violated -> "violated"
   | Unknown -> "unknown"
 
-(* Candidate probes for a feasible literal set: the raw solver
-   assignment over null defaults, plus the assignment overlaid on
-   every palette base (the palette diversifies fields the assignment
-   left unconstrained). *)
-let probes lits =
-  match Solver.concretize lits with
-  | None -> []
-  | Some asg ->
-      Testgen.packet_of_assignment ~pkt_var:"in" asg
-      :: List.map
-           (fun base -> Testgen.packet_of_assignment ~pkt_var:"in" ~defaults:base asg)
-           Testgen.base_palette
-      |> List.sort_uniq Packet.Pkt.compare
+(* Candidate probes for a solver assignment: the assignment over the
+   default packet, plus the assignment overlaid on every palette base
+   (the palette diversifies fields the assignment left
+   unconstrained). *)
+let assignment_probes asg =
+  let ov = Testgen.overlay ~pkt_var:"in" asg in
+  List.sort_uniq Packet.Pkt.compare (ov Testgen.default_base :: List.map ov Testgen.base_palette)
 
-(* Replay a probe through a fresh interpreter chain seeded with the
-   given snapshots (stores are immutable maps, so the nodes' snapshots
-   are untouched). *)
-let push_fresh (nodes : nodes) pkt =
-  let chain = Network.chain (List.map (fun (id, m, s) -> Network.node id m s) nodes) in
-  fst (Network.push chain pkt)
+let probes lits =
+  match Solver.concretize lits with None -> [] | Some asg -> assignment_probes asg
+
+(* The probe lists of a query's literal sets, in order, each distinct
+   list once: the probes depend only on the decoded overlay, so a
+   literal set whose overlay was already seen is skipped (replaying
+   its list again would give the same answer). Lazy, so a query that
+   confirms early concretizes no further; the memo lives in one
+   sequence, i.e. one query. *)
+let probe_lists lit_sets =
+  let seen = Hashtbl.create 8 in
+  Seq.filter_map
+    (fun lits ->
+      match Solver.concretize lits with
+      | None -> None
+      | Some asg ->
+          let key = Testgen.overlay_fields ~pkt_var:"in" asg in
+          if Hashtbl.mem seen key then None
+          else begin
+            Hashtbl.add seen key ();
+            Some (assignment_probes asg)
+          end)
+    (List.to_seq lit_sets)
 
 let never_reaches (nodes : nodes) prop =
   let cls = Symreach.classes nodes in
@@ -183,17 +194,18 @@ let never_reaches (nodes : nodes) prop =
           (prop_string prop);
     }
   else
-    let confirm (c : Symreach.cls) =
-      let lits = c.Symreach.constraints @ sym_lits prop c.Symreach.pkt in
-      List.find_map
-        (fun p ->
-          let outs = push_fresh nodes p in
-          match List.find_opt (holds_on prop) outs with
-          | Some _ -> Some (p, outs)
-          | None -> None)
-        (probes lits)
+    let replay = Network.replay nodes in
+    let confirm =
+      List.find_map (fun p ->
+          let outs = replay p in
+          if List.exists (holds_on prop) outs then Some (p, outs) else None)
     in
-    match List.find_map confirm feasible with
+    let lit_sets =
+      List.map
+        (fun (c : Symreach.cls) -> c.Symreach.constraints @ sym_lits prop c.Symreach.pkt)
+        feasible
+    in
+    match Seq.find_map confirm (probe_lists lit_sets) with
     | Some (p, outs) ->
         {
           status = Violated;
@@ -260,17 +272,16 @@ let state_implies_drop (nodes : nodes) ~from_ ~to_ ~cls:prop =
           (prop_string prop) from_ to_ checked;
     }
   else
-    let confirm (c : Symreach.cls) =
-      List.find_map
-        (fun p ->
+    let replay = Network.replay sub in
+    let confirm =
+      List.find_map (fun p ->
           if not (holds_on prop p) then None
-          else
-            match push_fresh sub p with
-            | [] -> None
-            | outs -> Some (p, outs))
-        (probes (c.Symreach.constraints @ in_lits))
+          else match replay p with [] -> None | outs -> Some (p, outs))
     in
-    match List.find_map confirm escaping with
+    let lit_sets =
+      List.map (fun (c : Symreach.cls) -> c.Symreach.constraints @ in_lits) escaping
+    in
+    match Seq.find_map confirm (probe_lists lit_sets) with
     | Some (p, outs) ->
         {
           status = Violated;
@@ -296,16 +307,17 @@ let state_implies_drop (nodes : nodes) ~from_ ~to_ ~cls:prop =
         }
 
 let order_equiv (a : nodes) (b : nodes) =
+  let classes = Symreach.classes a @ Symreach.classes b in
   let witness_probes =
-    List.concat_map
-      (fun (c : Symreach.cls) -> probes c.Symreach.constraints)
-      (Symreach.classes a @ Symreach.classes b)
+    List.map (fun (c : Symreach.cls) -> c.Symreach.constraints) classes
+    |> probe_lists |> List.of_seq |> List.concat
     |> List.sort_uniq Packet.Pkt.compare
   in
-  let checked = List.length (Symreach.classes a) + List.length (Symreach.classes b) in
+  let checked = List.length classes in
+  let replay_a = Network.replay a and replay_b = Network.replay b in
   let sort = List.sort Packet.Pkt.compare in
   let mismatch p =
-    let oa = sort (push_fresh a p) and ob = sort (push_fresh b p) in
+    let oa = sort (replay_a p) and ob = sort (replay_b p) in
     if List.equal Packet.Pkt.equal oa ob then None else Some (p, oa, ob)
   in
   match witness_probes with

@@ -42,6 +42,12 @@ val holds_on : prop -> Packet.Pkt.t -> bool
 val sym_lits : prop -> Symreach.sym_pkt -> Solver.literal list
 (** The property over a symbolic header (input vocabulary). *)
 
+val probes : Solver.literal list -> Packet.Pkt.t list
+(** The replay candidates for a literal set: its solver assignment
+    ({!Solver.concretize}) over {!Testgen.default_base} and overlaid
+    on every {!Testgen.base_palette} packet, sorted and deduplicated
+    ([[]] when the solver finds no assignment). *)
+
 (** {1 Verdicts} *)
 
 type status = Proven | Violated | Unknown

@@ -94,6 +94,17 @@ let push c pkt =
   in
   go [ pkt ] c.nodes []
 
+(* Replay from fixed snapshots: every packet starts a fresh chain at
+   the same stores, so each node's config prefilter is computed once
+   for its snapshot (when [replay nodes] is applied) and handed to
+   every fresh node. A step that rewrites a config binding still drops
+   the fresh node's copy in [push]; the next packet starts from the
+   snapshot's list again. *)
+let replay nodes =
+  let snapshots = List.map (fun (id, m, s) -> (id, m, s, Model_interp.actives m s)) nodes in
+  let fresh (id, model, store, a) = { id; model; store; actives = Some a } in
+  fun pkt -> fst (push (chain (List.map fresh snapshots)) pkt)
+
 (** Drive a packet sequence; returns per-packet chain outputs. *)
 let run c pkts = List.map (fun p -> push c p) pkts
 

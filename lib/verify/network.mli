@@ -34,6 +34,13 @@ val push : chain -> Packet.Pkt.t -> Packet.Pkt.t list * hop list
 (** One packet through the chain; state updates stick. Returns the
     packets emerging from the last NF and the per-hop trace. *)
 
+val replay : (string * Model.t * Model_interp.store) list -> Packet.Pkt.t -> Packet.Pkt.t list
+(** [replay nodes] computes each node's {!Model_interp.actives} once
+    for its snapshot; the result gives the outputs of {!push} on a
+    fresh chain over the snapshots, so state updates do not stick
+    between packets. Within one packet's pass a step that rewrites a
+    config binding recomputes that node's prefilter, as in {!push}. *)
+
 val run : chain -> Packet.Pkt.t list -> (Packet.Pkt.t list * hop list) list
 
 type reach_result = { delivered : Packet.Pkt.t list; trace : hop list }

@@ -26,29 +26,13 @@ type cls = {
 val unconstrained : cls
 (** The unconstrained, alive input class. *)
 
-val through_model :
-  ?drops:bool ->
-  node_id:string ->
-  Model.t ->
-  Model_interp.store ->
-  cls ->
-  cls list
-(** All feasible refinements of a class through one model. By default
-    dropping entries and table misses produce no classes; with
-    [~drops:true] dropping entries yield dead ([alive = false])
-    classes, so the feasible classes partition the model's covered
-    input space. *)
-
-val through_chain :
-  ?drops:bool ->
-  (string * Model.t * Model_interp.store) list ->
-  cls ->
-  cls list
-(** Dead classes exit the pipeline where they died and ride to the
-    result untouched. *)
-
 val classes : ?drops:bool -> (string * Model.t * Model_interp.store) list -> cls list
-(** End-to-end classes for unconstrained input headers. *)
+(** End-to-end classes for unconstrained input headers, pushed through
+    each (id, model, snapshot) in order. By default dropping entries
+    and table misses yield no classes; with [~drops:true] a dropping
+    entry yields a dead ([alive = false]) class, which leaves the
+    pipeline where it died and rides to the result untouched, so the
+    feasible classes partition each model's covered input space. *)
 
 val reachable :
   (string * Model.t * Model_interp.store) list ->
@@ -57,13 +41,8 @@ val reachable :
 (** Classes whose output can satisfy [property]; empty means the
     property is unreachable under these state snapshots. *)
 
-val concrete_holds : Solver.literal list -> Packet.Pkt.t -> bool
-(** Concrete evaluation of instantiated literals (vocabulary
-    ["in.<field>"]) on a probe packet; leftover opaque atoms evaluate
-    to [false]. *)
-
 val satisfies : cls -> Packet.Pkt.t -> bool
-(** Does the probe packet lie in the class ([concrete_holds] on its
-    constraints)? *)
+(** Does the probe packet lie in the class? Its constraints are
+    evaluated concretely; leftover opaque atoms evaluate to [false]. *)
 
 val pp_cls : Format.formatter -> cls -> unit

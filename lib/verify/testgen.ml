@@ -23,31 +23,41 @@ type coverage = {
   uncovered : int list;  (** entries never fired *)
 }
 
-(* Build a packet from a solver assignment over "<pkt_var>.<field>"
-   syms. *)
-let packet_of_assignment ?(pkt_var = "pkt") ?(defaults : Packet.Pkt.t option) assignment =
+(* A solver assignment's packet fields, decoded once: every
+   "<pkt_var>.<field>" symbol naming a header field becomes
+   (field, value), clamped into field-plausible ranges, in symbol
+   order. Other symbols, and values of the wrong kind, are dropped. *)
+let overlay_fields ~pkt_var assignment =
   let prefix = pkt_var ^ "." in
   let plen = String.length prefix in
-  let base =
-    match defaults with
-    | Some p -> p
-    | None ->
-        Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3)
-          ~sport:40000 ~dport:80 ()
-  in
   Solver.Smap.fold
-    (fun name v pkt ->
-      if String.length name > plen && String.sub name 0 plen = prefix then
+    (fun name v acc ->
+      if String.length name > plen && String.starts_with ~prefix name then
         let f = String.sub name plen (String.length name - plen) in
         match v with
         | Value.Int n when Packet.Headers.is_int_field f ->
-            (* Clamp into field-plausible ranges. *)
             let n = if f = "sport" || f = "dport" then ((n mod 65536) + 65536) mod 65536 else n land 0xFFFFFFFF in
-            Packet.Pkt.set_int pkt f n
-        | Value.Str s when Packet.Headers.is_str_field f -> Packet.Pkt.set_str pkt f s
-        | _ -> pkt
-      else pkt)
-    assignment base
+            (f, Value.Int n) :: acc
+        | Value.Str _ when Packet.Headers.is_str_field f -> (f, v) :: acc
+        | _ -> acc
+      else acc)
+    assignment []
+  |> List.rev
+
+let overlay ~pkt_var assignment =
+  let fields = overlay_fields ~pkt_var assignment in
+  fun base ->
+    List.fold_left
+      (fun pkt (f, v) ->
+        match v with
+        | Value.Int n -> Packet.Pkt.set_int pkt f n
+        | Value.Str s -> Packet.Pkt.set_str pkt f s
+        | _ -> pkt)
+      base fields
+
+let default_base =
+  Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3) ~sport:40000
+    ~dport:80 ()
 
 (* Substitute config-variable symbols with their concrete extraction-
    time values so the solver works over packet fields only. *)
@@ -175,11 +185,10 @@ let attempt_entry (m : Model.t) store idx =
         let r = Model_interp.step m store pkt in
         if r.Model_interp.matched = Some idx then Some (pkt, r.Model_interp.store) else None
       in
-      let pkt_var = m.Model.pkt_var in
-      let overlay base = packet_of_assignment ~pkt_var ~defaults:base assignment in
+      let overlay = overlay ~pkt_var:m.Model.pkt_var assignment in
       let from_state = state_candidates store in
       let candidates =
-        (packet_of_assignment ~pkt_var assignment :: from_state)
+        (overlay default_base :: from_state)
         @ List.map overlay from_state @ List.map overlay base_palette @ base_palette
       in
       List.find_map try_candidate candidates

@@ -20,10 +20,21 @@ val base_palette : Packet.Pkt.t list
 (** Diverse base packets the generator overlays solver assignments on;
     useful as candidate seeds for other concretization loops. *)
 
-val packet_of_assignment :
-  ?pkt_var:string -> ?defaults:Packet.Pkt.t -> Value.t Solver.Smap.t -> Packet.Pkt.t
-(** Build a packet from a solver assignment over
-    ["<pkt_var>.<field>"] symbols (default ["pkt"]), over [defaults]. *)
+val overlay_fields : pkt_var:string -> Value.t Solver.Smap.t -> (string * Value.t) list
+(** The assignment's ["<pkt_var>.<field>"] symbols decoded into
+    (header field, value) pairs, in symbol order: ports clamped to
+    16 bits, other integer fields to 32; symbols naming no header
+    field are dropped. Two assignments with equal lists overlay
+    every base identically. *)
+
+val overlay : pkt_var:string -> Value.t Solver.Smap.t -> Packet.Pkt.t -> Packet.Pkt.t
+(** [overlay ~pkt_var asg] decodes the assignment once
+    ({!overlay_fields}); the result writes those fields over any base
+    packet. *)
+
+val default_base : Packet.Pkt.t
+(** The base a solver assignment is overlaid on when no other base is
+    wanted: TCP 10.0.0.1:40000 > 3.3.3.3:80. *)
 
 val resolve_config : Model_interp.store -> Solver.literal -> Solver.literal
 (** Substitute config symbols with their concrete values. *)

@@ -103,15 +103,19 @@ test "$status" -eq 1
 # Compiled service-chain gates: the linked 3-NF chain must reproduce
 # the interpreter chain exactly (outputs, per-hop final stores) on
 # random and churn traffic, a sharded chain must reproduce the single
-# linked engine, and the invariant verifier must prove a true
-# invariant and refute a false one with a counterexample that replays
-# through the compiled chain. The bench adds fusion and the >= 5x
-# speedup over the interpreter chain.
+# linked engine, and each invariant verifier entry point must prove a
+# true invariant and refute a false one with a counterexample that
+# replays through the compiled chain. The bench adds fusion and the
+# >= 5x speedup over the interpreter chain.
 dune exec bin/nfactor_cli.exe -- chain run firewall,nat,snort -n 20000 --check
 dune exec bin/nfactor_cli.exe -- chain run firewall,nat,snort -n 20000 --churn 2000 --check
 dune exec bin/nfactor_cli.exe -- chain run snort,synguard,ips -n 20000 --shards 2 --check
 dune exec bin/nfactor_cli.exe -- chain verify snort,firewall --invariant "never-reaches:ip_ttl<=0" --expect proven
 dune exec bin/nfactor_cli.exe -- chain verify snort,firewall --invariant "never-reaches:dport=80" --expect violated
+dune exec bin/nfactor_cli.exe -- chain verify firewall,nat --invariant "state-implies-drop:ip_src=8.8.8.8&dport=9999@firewall..firewall" --expect proven
+dune exec bin/nfactor_cli.exe -- chain verify nat,snort --invariant "state-implies-drop:dport=53@nat..snort" --expect violated
+dune exec bin/nfactor_cli.exe -- chain verify acl,mirror --invariant order-equiv:mirror,acl --expect proven
+dune exec bin/nfactor_cli.exe -- chain verify lb,acl --invariant order-equiv:acl,lb --expect violated
 dune exec bench/main.exe -- --chain --smoke
 
 # Static analyzer gates. Pre-minimization, the deliberately-redundant

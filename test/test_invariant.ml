@@ -145,6 +145,145 @@ let test_json () =
   Alcotest.(check bool) "status field" true (contains j "\"status\": \"proven\"");
   Alcotest.(check bool) "classes field" true (contains j "\"classes_checked\"")
 
+(* Reference for [Invariant.probes]: every "in.<field>" symbol decoded
+   afresh for each base, then [sort_uniq]. *)
+let reference_probes lits =
+  let packet_of asg base =
+    Symexec.Solver.Smap.fold
+      (fun name v pkt ->
+        if String.length name > 3 && String.sub name 0 3 = "in." then
+          let f = String.sub name 3 (String.length name - 3) in
+          match v with
+          | Symexec.Value.Int n when Packet.Headers.is_int_field f ->
+              let n =
+                if f = "sport" || f = "dport" then ((n mod 65536) + 65536) mod 65536
+                else n land 0xFFFFFFFF
+              in
+              Packet.Pkt.set_int pkt f n
+          | Symexec.Value.Str s when Packet.Headers.is_str_field f -> Packet.Pkt.set_str pkt f s
+          | _ -> pkt
+        else pkt)
+      asg base
+  in
+  match Symexec.Solver.concretize lits with
+  | None -> []
+  | Some asg ->
+      let raw =
+        packet_of asg
+          (Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3)
+             ~sport:40000 ~dport:80 ())
+      in
+      raw :: List.map (packet_of asg) Testgen.base_palette
+      |> List.sort_uniq Stdlib.compare
+
+let test_probes_match_reference () =
+  List.iter
+    (fun names ->
+      let nodes = List.map node names in
+      let classes = Symreach.classes nodes @ Symreach.classes ~drops:true nodes in
+      List.iteri
+        (fun i (c : Symreach.cls) ->
+          let got = Invariant.probes c.Symreach.constraints in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s class %d" (String.concat "," names) i)
+            true
+            (got = reference_probes c.Symreach.constraints))
+        classes)
+    [
+      [ "snort"; "firewall" ];
+      [ "acl"; "mirror" ];
+      [ "mirror"; "acl" ];
+      [ "lb"; "acl" ];
+      [ "nat"; "snort" ];
+    ]
+
+(* perfbench's six query shapes at fixed ports and addresses. The
+   outcomes were recorded from the per-class probe construction with a
+   fresh config prefilter per replay; sharing probe lists and
+   prefilters must reproduce them byte for byte. *)
+let test_pinned_outcomes () =
+  let nodes = List.map node in
+  let pinned label o expected =
+    Alcotest.(check string) label expected (Invariant.json_of_outcome o)
+  in
+  pinned "never-reaches proven"
+    (Invariant.never_reaches (nodes [ "snort"; "firewall" ]) (prop "ip_ttl<=0"))
+    {|{"status": "proven", "classes_checked": 4, "counterexample": null, "outputs": [], "detail": "all 4 end-to-end classes refute [ip_ttl<=0]"}|};
+  pinned "never-reaches violated"
+    (Invariant.never_reaches (nodes [ "snort"; "firewall" ]) (prop "dport=8080"))
+    {|{"status": "violated", "classes_checked": 4, "counterexample": "icmp 192.168.1.5:40001 > 1.1.1.1:8080 [SYN] len=20 ttl=1", "outputs": ["icmp 192.168.1.5:40001 > 1.1.1.1:8080 [SYN] len=20 ttl=1"], "detail": "3 of 4 classes can emerge matching [dport=8080]; replayed counterexample emitted 1 packet(s)"}|};
+  pinned "state-implies-drop proven"
+    (Invariant.state_implies_drop (nodes [ "firewall"; "nat" ]) ~from_:"firewall"
+       ~to_:"firewall" ~cls:(prop "ip_src=93.184.216.34&dport=9999"))
+    {|{"status": "proven", "classes_checked": 4, "counterexample": null, "outputs": [], "detail": "every class matching [ip_src=1572395042 & dport=9999] at firewall is dropped by firewall (4 classes)"}|};
+  pinned "state-implies-drop violated"
+    (Invariant.state_implies_drop (nodes [ "nat"; "snort" ]) ~from_:"nat" ~to_:"snort"
+       ~cls:(prop "dport=5353"))
+    {|{"status": "violated", "classes_checked": 8, "counterexample": "icmp 10.0.0.1:40001 > 1.1.1.1:5353 [SYN] len=20 ttl=1", "outputs": ["icmp 5.5.5.5:20000 > 1.1.1.1:5353 [SYN] len=20 ttl=1"], "detail": "a packet matching [dport=5353] at nat survives to snort (1 packet(s) emitted)"}|};
+  pinned "order-equiv proven"
+    (Invariant.order_equiv (nodes [ "acl"; "mirror" ]) (nodes [ "mirror"; "acl" ]))
+    {|{"status": "proven", "classes_checked": 12, "counterexample": null, "outputs": [], "detail": "1262 witness probes over 12 classes, identical outputs"}|};
+  pinned "order-equiv violated"
+    (Invariant.order_equiv (nodes [ "lb"; "acl" ]) (nodes [ "acl"; "lb" ]))
+    {|{"status": "violated", "classes_checked": 2, "counterexample": "tcp 8.8.8.8:40001 > 1.1.1.1:80 [SYN] len=60 ttl=64", "outputs": [], "detail": "orders disagree on a witness: 0 vs 1 packet(s) emitted"}|}
+
+(* A replay context hands every fresh push the snapshot's config
+   prefilter, but a step that rewrites a config binding must still
+   invalidate it within the push. Hand-built chain: a mirror hop emits
+   two copies of each packet into a gate whose open entry forwards and
+   closes the gate (a config binding), so the second copy must miss. *)
+let test_replay_config_rewrite () =
+  let open Symexec in
+  let model name ~cfg_vars entries =
+    { Nfactor.Model.nf_name = name; pkt_var = "pkt"; cfg_vars; ois_vars = []; entries }
+  in
+  let entry ?(config = []) ?(update = []) action =
+    {
+      Nfactor.Model.config;
+      flow_match = [];
+      state_match = [];
+      residual_match = [];
+      pkt_action = action;
+      state_update = update;
+      path_sids = [];
+      truncated = false;
+    }
+  in
+  let is_open v =
+    Solver.lit (Sexpr.mk_bin Nfl.Ast.Eq (Sexpr.sym "open") (Sexpr.const (Value.Int v))) true
+  in
+  let mirror =
+    model "mirror" ~cfg_vars:[]
+      [ entry (Nfactor.Model.Forward [ []; [ ("dport", Sexpr.const (Value.Int 9999)) ] ]) ]
+  in
+  let gate =
+    model "gate" ~cfg_vars:[ "open" ]
+      [
+        entry ~config:[ is_open 1 ]
+          ~update:[ ("open", Nfactor.Model.Set_scalar (Sexpr.const (Value.Int 0))) ]
+          (Nfactor.Model.Forward [ [] ]);
+        entry ~config:[ is_open 0 ] Nfactor.Model.Drop;
+      ]
+  in
+  let nodes =
+    [
+      ("mirror", mirror, Nfactor.Model_interp.Smap.empty);
+      ("gate", gate, Nfactor.Model_interp.Smap.singleton "open" (Value.Int 1));
+    ]
+  in
+  let replay = Network.replay nodes in
+  let push p =
+    fst (Network.push (Network.chain (List.map (fun (id, m, s) -> Network.node id m s) nodes)) p)
+  in
+  List.iter
+    (fun p ->
+      let replayed = replay p in
+      Alcotest.(check int) "second copy misses" 1 (List.length replayed);
+      Alcotest.(check bool) "the first copy passes" true (Packet.Pkt.equal p (List.hd replayed));
+      Alcotest.(check bool) "replay == push on a fresh chain" true
+        (List.equal Packet.Pkt.equal (push p) replayed))
+    (List.filteri (fun i _ -> i mod 500 = 0) Testgen.base_palette)
+
 let suite =
   [
     Alcotest.test_case "property parsing" `Quick test_parse;
@@ -157,4 +296,10 @@ let suite =
     Alcotest.test_case "order_equiv: commuting and non-commuting chains" `Quick
       test_order_equiv;
     Alcotest.test_case "outcome JSON" `Quick test_json;
+    Alcotest.test_case "probes equal the per-base sort_uniq construction" `Quick
+      test_probes_match_reference;
+    Alcotest.test_case "pinned outcomes of the six benchmark query shapes" `Quick
+      test_pinned_outcomes;
+    Alcotest.test_case "replay context re-decides config after a rewrite" `Quick
+      test_replay_config_rewrite;
   ]

@@ -193,9 +193,14 @@ let qcheck_sexp_roundtrip =
 
 (* A model file written by the previous format version (version 2,
    terms inline) reads back as the model a fresh synthesis builds, and
-   re-export writes the current version. *)
+   re-export writes the current version. The file is found next to the
+   test executable (the build copies test/data there), so the test
+   reads it whatever the working directory; a missing file fails it. *)
 let test_v2_file_compat () =
-  let ic = open_in_bin "data/lb_v2.model" in
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat "data" "lb_v2.model")
+  in
+  let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
   let m = Model_io.of_string (String.trim text) in

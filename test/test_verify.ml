@@ -183,6 +183,40 @@ let test_cover_lb () =
      some generated packet repeats a flow. *)
   Alcotest.(check bool) "sequence has >= 3 packets" true (List.length c.Testgen.pkts >= 3)
 
+(* The decoded overlay clamps out-of-range values (ports to 16 bits,
+   other integer fields to 32) and keeps only "<pkt_var>.<field>"
+   symbols that name a header field with a value of its kind, in
+   symbol order; the overlay writes exactly those fields. *)
+let test_overlay_fields () =
+  let asg =
+    List.fold_left
+      (fun m (k, v) -> Solver.Smap.add k v m)
+      Solver.Smap.empty
+      [
+        ("in.sport", Value.Int 70000);
+        ("in.dport", Value.Int (-1));
+        ("in.ip_ttl", Value.Int ((1 lsl 33) + 300));
+        ("in.payload", Value.Str "GET");
+        ("in.flow_id", Value.Int 7);
+        ("in.seq", Value.Str "not an int");
+        ("out.ack", Value.Int 9);
+        ("in", Value.Int 1);
+      ]
+  in
+  let fields = Testgen.overlay_fields ~pkt_var:"in" asg in
+  Alcotest.(check (list string))
+    "decoded pairs, in symbol order"
+    [ "dport=65535"; "ip_ttl=300"; {|payload="GET"|}; "sport=4464" ]
+    (List.map (fun (f, v) -> f ^ "=" ^ Value.to_string v) fields);
+  let p = Testgen.overlay ~pkt_var:"in" asg Testgen.default_base in
+  let expected =
+    Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3)
+      ~sport:4464 ~dport:65535 ~ip_ttl:300 ~payload:"GET" ()
+  in
+  Alcotest.(check string) "overlay on the default base" (Packet.Pkt.to_string expected)
+    (Packet.Pkt.to_string p);
+  Alcotest.(check bool) "equal packets" true (Packet.Pkt.equal expected p)
+
 let test_compliance_replay () =
   List.iter
     (fun name ->
@@ -245,6 +279,7 @@ let suite =
     Alcotest.test_case "safe orders" `Quick test_safe_orders;
     Alcotest.test_case "testgen covers firewall" `Quick test_cover_firewall;
     Alcotest.test_case "testgen covers LB" `Quick test_cover_lb;
+    Alcotest.test_case "testgen overlay decodes and clamps" `Quick test_overlay_fields;
     Alcotest.test_case "compliance replay" `Quick test_compliance_replay;
     Alcotest.test_case "reset_chain length mismatch diagnostics" `Quick test_reset_chain_mismatch;
     Alcotest.test_case "push actives cache is transparent" `Quick test_push_actives_cache;
