@@ -2,11 +2,6 @@
     (paper Section 5, "Accuracy"): symbolic path-set comparison and
     lock-step random differential testing. *)
 
-open Symexec
-
-val signature_of_path : Explore.path -> string list * string list
-(** Canonical (sorted literals, action) signature. *)
-
 val signature_of_entry : Model.entry -> string list * string list
 
 val paths_match : Extract.result -> bool

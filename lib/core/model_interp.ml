@@ -34,87 +34,94 @@ let initial_store (ex : Extract.result) =
 (* Symbolic-expression evaluation under a concrete environment        *)
 (* ------------------------------------------------------------------ *)
 
-(* [prefix] is the packet variable's field prefix (["pkt_var."]): a
-   symbol under it reads the packet, anything else reads the store. *)
-let lookup_sym ~prefix store (pkt : Packet.Pkt.t) name =
-  let plen = String.length prefix in
-  if String.length name > plen && String.sub name 0 plen = prefix then begin
-    let f = String.sub name plen (String.length name - plen) in
-    if Packet.Headers.is_int_field f then Value.Int (Packet.Pkt.get_int pkt f)
-    else if Packet.Headers.is_str_field f then Value.Str (Packet.Pkt.get_str pkt f)
-    else raise (Unresolved name)
-  end
+(* [prefix] is the packet variable's field prefix (["pkt_var."]),
+   computed once per public call: a symbol strictly longer than it and
+   starting with it reads the packet, anything else reads the store.
+   The prefix is tested in place, without copying. *)
+let has_prefix ~prefix name =
+  String.length name > String.length prefix && String.starts_with ~prefix name
+
+let lookup_sym ~prefix store pkt name =
+  if has_prefix ~prefix name then
+    let plen = String.length prefix in
+    match Value.pkt_field pkt (String.sub name plen (String.length name - plen)) with
+    | Some v -> v
+    | None -> raise (Unresolved name)
   else
     match Smap.find_opt name store with
     | Some v -> v
     | None -> raise (Unresolved name)
 
-let rec eval_p ~prefix store pkt (e : Sexpr.t) : Value.t =
-  let eval = eval_p ~prefix in
-  match Sexpr.view e with
-  | Sexpr.Const v -> v
-  | Sexpr.Sym s -> lookup_sym ~prefix store pkt s
-  | Sexpr.Bin (op, a, b) -> Value.binop op (eval store pkt a) (eval store pkt b)
-  | Sexpr.Not a -> Value.unop Nfl.Ast.Not (eval store pkt a)
-  | Sexpr.Neg a -> Value.unop Nfl.Ast.Neg (eval store pkt a)
-  | Sexpr.Tup es -> Value.Tuple (List.map (eval store pkt) es)
-  | Sexpr.Lst es -> Value.List (List.map (eval store pkt) es)
-  | Sexpr.Get (c, i) -> Value.index (eval store pkt c) (eval store pkt i)
-  | Sexpr.Ufun (f, args) -> Value.apply_pure f (List.map (eval store pkt) args)
-  | Sexpr.Mem (d, k) ->
-      let dict = dict_after_writes ~prefix store pkt d in
-      Value.mem (eval store pkt k) (Value.Dict dict)
-  | Sexpr.Dget (d, k) -> (
-      let dict = dict_after_writes ~prefix store pkt d in
-      match Value.dict_get dict (eval store pkt k) with
-      | Some v -> v
-      | None -> raise (Unresolved ("missing key in " ^ d.Sexpr.base)))
-  | Sexpr.Ite (g, a, b) -> (
-      (* Only the selected arm is evaluated, so a chain of k merged
-         value summaries replays in O(k) despite nesting. *)
-      match eval store pkt g with
-      | Value.Bool c -> eval store pkt (if c then a else b)
-      | Value.Int n -> eval store pkt (if n <> 0 then a else b)
-      | _ -> raise (Unresolved "non-boolean ite guard"))
-
-(* A dictionary snapshot: the store's value for the base, with the
-   snapshot's (chronological) writes applied. *)
-and dict_after_writes ~prefix store pkt (d : Sexpr.dict_state) =
-  let eval = eval_p ~prefix in
-  let base =
-    if d.Sexpr.base = Sexpr.empty_base then []
-    else
-      match Smap.find_opt d.Sexpr.base store with
-      | Some (Value.Dict kvs) -> kvs
-      | Some _ | None -> raise (Unresolved ("dict " ^ d.Sexpr.base))
+let eval_p ~prefix store pkt (e : Sexpr.t) : Value.t =
+  let rec eval e =
+    match Sexpr.view e with
+    | Sexpr.Const v -> v
+    | Sexpr.Sym s -> lookup_sym ~prefix store pkt s
+    | Sexpr.Bin (op, a, b) -> Value.binop op (eval a) (eval b)
+    | Sexpr.Not a -> Value.unop Nfl.Ast.Not (eval a)
+    | Sexpr.Neg a -> Value.unop Nfl.Ast.Neg (eval a)
+    | Sexpr.Tup es -> Value.Tuple (List.map eval es)
+    | Sexpr.Lst es -> Value.List (List.map eval es)
+    | Sexpr.Get (c, i) -> Value.index (eval c) (eval i)
+    | Sexpr.Ufun (f, args) -> Value.apply_pure f (List.map eval args)
+    | Sexpr.Mem (d, k) ->
+        let dict = dict_after_writes d in
+        Value.mem (eval k) (Value.Dict dict)
+    | Sexpr.Dget (d, k) -> (
+        let dict = dict_after_writes d in
+        match Value.dict_get dict (eval k) with
+        | Some v -> v
+        | None -> raise (Unresolved ("missing key in " ^ d.Sexpr.base)))
+    | Sexpr.Ite (g, a, b) -> (
+        (* Only the selected arm is evaluated, so a chain of k merged
+           value summaries replays in O(k) despite nesting. *)
+        match eval g with
+        | Value.Bool c -> eval (if c then a else b)
+        | Value.Int n -> eval (if n <> 0 then a else b)
+        | _ -> raise (Unresolved "non-boolean ite guard"))
+  (* A dictionary snapshot: the store's value for the base, with the
+     snapshot's (chronological) writes applied. *)
+  and dict_after_writes (d : Sexpr.dict_state) =
+    let base =
+      if d.Sexpr.base = Sexpr.empty_base then []
+      else
+        match Smap.find_opt d.Sexpr.base store with
+        | Some (Value.Dict kvs) -> kvs
+        | Some _ | None -> raise (Unresolved ("dict " ^ d.Sexpr.base))
+    in
+    List.fold_left
+      (fun acc (k, upd) ->
+        let kv = eval k in
+        match upd with
+        | Some v -> Value.dict_set acc kv (eval v)
+        | None -> Value.dict_remove acc kv)
+      base
+      (List.rev d.Sexpr.writes)
   in
-  List.fold_left
-    (fun acc (k, upd) ->
-      let kv = eval store pkt k in
-      match upd with
-      | Some v -> Value.dict_set acc kv (eval store pkt v)
-      | None -> Value.dict_remove acc kv)
-    base
-    (List.rev d.Sexpr.writes)
+  eval e
 
-let eval ?(pkt_var = "pkt") store pkt e = eval_p ~prefix:(pkt_var ^ ".") store pkt e
+let prefix_of pkt_var = pkt_var ^ "."
+let eval ?(pkt_var = "pkt") store pkt e = eval_p ~prefix:(prefix_of pkt_var) store pkt e
 
-let literal_holds ?(pkt_var = "pkt") store pkt (l : Solver.literal) =
-  match eval ~pkt_var store pkt l.Solver.atom with
+let holds_p ~prefix store pkt (l : Solver.literal) =
+  match eval_p ~prefix store pkt l.Solver.atom with
   | Value.Bool b -> b = l.Solver.positive
   | Value.Int n -> n <> 0 = l.Solver.positive
   | _ -> false
   | exception Value.Type_error _ -> false
   | exception Unresolved _ -> false
 
+let literal_holds ?(pkt_var = "pkt") store pkt l = holds_p ~prefix:(prefix_of pkt_var) store pkt l
+
 (* ------------------------------------------------------------------ *)
 (* Entry matching and application                                     *)
 (* ------------------------------------------------------------------ *)
 
 let entry_matches ?(pkt_var = "pkt") store pkt (e : Model.entry) =
-  List.for_all (literal_holds ~pkt_var store pkt) e.Model.config
-  && List.for_all (literal_holds ~pkt_var store pkt) e.Model.flow_match
-  && List.for_all (literal_holds ~pkt_var store pkt) e.Model.state_match
+  let holds = holds_p ~prefix:(prefix_of pkt_var) store pkt in
+  List.for_all holds e.Model.config
+  && List.for_all holds e.Model.flow_match
+  && List.for_all holds e.Model.state_match
 
 (* ------------------------------------------------------------------ *)
 (* Config prefiltering                                                 *)
@@ -132,10 +139,7 @@ let null_pkt =
     ~sport:0 ~dport:0 ()
 
 let mentions_prefix ~prefix (l : Solver.literal) =
-  let plen = String.length prefix in
-  Sexpr.Sset.exists
-    (fun s -> String.length s > plen && String.sub s 0 plen = prefix)
-    (Sexpr.syms l.Solver.atom)
+  Sexpr.Sset.exists (has_prefix ~prefix) (Sexpr.syms l.Solver.atom)
 
 type active = {
   a_idx : int;  (** index of the entry in [Model.entries] *)
@@ -150,8 +154,7 @@ type active = {
     each distinct config set is decided once, keyed on its
     polarity-signed literal ids. *)
 let actives (m : Model.t) store =
-  let pkt_var = m.Model.pkt_var in
-  let prefix = pkt_var ^ "." in
+  let prefix = prefix_of m.Model.pkt_var in
   let verdicts : (int list, bool) Hashtbl.t = Hashtbl.create 8 in
   List.mapi
     (fun i (e : Model.entry) ->
@@ -161,7 +164,7 @@ let actives (m : Model.t) store =
         match Hashtbl.find_opt verdicts key with
         | Some b -> b
         | None ->
-            let b = List.for_all (literal_holds ~pkt_var store null_pkt) static in
+            let b = List.for_all (holds_p ~prefix store null_pkt) static in
             Hashtbl.add verdicts key b;
             b
       in
@@ -169,15 +172,16 @@ let actives (m : Model.t) store =
     m.Model.entries
   |> List.filter_map Fun.id
 
-let active_matches ~pkt_var store pkt (a : active) =
-  List.for_all (literal_holds ~pkt_var store pkt) a.a_dyn_config
-  && List.for_all (literal_holds ~pkt_var store pkt) a.a_entry.Model.flow_match
-  && List.for_all (literal_holds ~pkt_var store pkt) a.a_entry.Model.state_match
+let active_matches ~prefix store pkt (a : active) =
+  let holds = holds_p ~prefix store pkt in
+  List.for_all holds a.a_dyn_config
+  && List.for_all holds a.a_entry.Model.flow_match
+  && List.for_all holds a.a_entry.Model.state_match
 
-let build_packet ~pkt_var store pkt snapshot =
+let build_packet ~prefix store pkt snapshot =
   List.fold_left
     (fun acc (f, e) ->
-      let v = eval ~pkt_var store pkt e in
+      let v = eval_p ~prefix store pkt e in
       if Packet.Headers.is_int_field f then Packet.Pkt.set_int acc f (Value.as_int v)
       else
         match v with
@@ -188,8 +192,8 @@ let build_packet ~pkt_var store pkt snapshot =
 (* Compute the post-value of one state variable. All expressions are
    evaluated against the pre-state [store], so updates to different
    variables cannot observe each other. *)
-let computed_update ~pkt_var store pkt (v, upd) =
-  let eval = eval ~pkt_var in
+let computed_update ~prefix store pkt (v, upd) =
+  let eval = eval_p ~prefix in
   match upd with
   | Model.Set_scalar e -> (v, eval store pkt e)
   | Model.Dict_ops ops ->
@@ -228,11 +232,11 @@ type step = {
     per-packet loop; it must be [actives m store] for this [store]'s
     config valuation. *)
 let step ?actives:acts_opt (m : Model.t) store pkt =
-  let pkt_var = m.Model.pkt_var in
+  let prefix = prefix_of m.Model.pkt_var in
   let acts = match acts_opt with Some a -> a | None -> actives m store in
   let rec find = function
     | [] -> None
-    | a :: rest -> if active_matches ~pkt_var store pkt a then Some a else find rest
+    | a :: rest -> if active_matches ~prefix store pkt a then Some a else find rest
   in
   match find acts with
   | None ->
@@ -247,9 +251,9 @@ let step ?actives:acts_opt (m : Model.t) store pkt =
       let outputs =
         match e.Model.pkt_action with
         | Model.Drop -> []
-        | Model.Forward snaps -> List.map (build_packet ~pkt_var store pkt) snaps
+        | Model.Forward snaps -> List.map (build_packet ~prefix store pkt) snaps
       in
-      let updates = List.map (computed_update ~pkt_var store pkt) e.Model.state_update in
+      let updates = List.map (computed_update ~prefix store pkt) e.Model.state_update in
       let store' = List.fold_left (fun st (v, value) -> Smap.add v value st) store updates in
       { outputs; store = store'; matched = Some a.a_idx; miss = None }
 

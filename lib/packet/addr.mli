@@ -6,9 +6,6 @@
 
 type ip = int
 
-val ip_max : int
-(** Largest representable address, [255.255.255.255]. *)
-
 val ip : int -> int -> int -> int -> ip
 (** [ip a b c d] is the address [a.b.c.d]. Octets must be in
     [0, 255]. *)

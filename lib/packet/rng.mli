@@ -10,9 +10,6 @@ val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds yield equal
     streams. *)
 
-val next_int64 : t -> int64
-(** Raw 64-bit step (SplitMix64 with Stafford's mix13 finalizer). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
 

@@ -128,7 +128,6 @@ type churn = {
   sv_port : int array;
   pay : string array;
   pos : int array;
-  mutable ch_started : int;
 }
 
 let spawn_flow c i =
@@ -138,8 +137,7 @@ let spawn_flow c i =
   c.sv_ip.(i) <- Rng.pick rng c.ch_profile.server_ips;
   c.sv_port.(i) <- Rng.pick rng c.ch_profile.server_ports;
   c.pay.(i) <- Rng.pick rng c.ch_profile.payloads;
-  c.pos.(i) <- 0;
-  c.ch_started <- c.ch_started + 1
+  c.pos.(i) <- 0
 
 let churn_gen ?(profile = default_profile) ?(data_pkts = 4) ~concurrent ~seed () =
   if concurrent <= 0 then invalid_arg "Traffic.churn_gen: concurrent must be positive";
@@ -154,7 +152,6 @@ let churn_gen ?(profile = default_profile) ?(data_pkts = 4) ~concurrent ~seed ()
       sv_port = Array.make concurrent 0;
       pay = Array.make concurrent "";
       pos = Array.make concurrent 0;
-      ch_started = 0;
     }
   in
   for i = 0 to concurrent - 1 do
@@ -172,9 +169,6 @@ let churn_next c =
   if k + 1 >= conv_len ~data_pkts:c.ch_data_pkts then spawn_flow c i
   else c.pos.(i) <- k + 1;
   p
-
-let churn_started c = c.ch_started
-let churn_concurrent c = Array.length c.pos
 
 (* ------------------------------------------------------------------ *)
 (* Timed driver                                                        *)

@@ -52,11 +52,6 @@ val churn_gen :
 
 val churn_next : churn -> Pkt.t
 
-val churn_started : churn -> int
-(** Flows spawned so far, including the initial pool. *)
-
-val churn_concurrent : churn -> int
-
 (** {1 Timed driver} *)
 
 val time_batches :

@@ -139,7 +139,6 @@ type t = {
   mutable stopped : bool;
 }
 
-let nshards t = t.nshards
 let spec t = t.spec
 let plan t = Atomic.get t.plan_cell
 let deferred t = t.n_deferred

@@ -36,7 +36,6 @@ val shutdown : t -> unit
 (** Stop and join the worker domains; idempotent. Further batch calls
     raise [Invalid_argument]. *)
 
-val nshards : t -> int
 val spec : t -> Shardplan.spec
 val plan : t -> Compile.t
 
@@ -63,9 +62,6 @@ val snapshot : t -> Nfactor.Model_interp.store
     shard copies of a sharded table hold disjoint keys, and sorted
     dictionaries merge by key — byte-comparable against a single
     engine's {!Engine.snapshot}. *)
-
-val stats : t -> Engine.stats array
-(** Live per-shard counters, indexed by shard. *)
 
 val merged_stats : t -> Engine.stats
 (** Field-wise sum over shards ({!Engine.merge_stats}); comparable 1:1

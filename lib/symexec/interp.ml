@@ -93,10 +93,10 @@ let rec eval st pos (e : Nfl.Ast.expr) : Value.t =
       try Value.index vc vk with Value.Type_error m -> err pos "%s" m)
   | Nfl.Ast.Field (pe, f) -> (
       match eval st pos pe with
-      | Value.Pkt p ->
-          if Packet.Headers.is_int_field f then Value.Int (Packet.Pkt.get_int p f)
-          else if Packet.Headers.is_str_field f then Value.Str (Packet.Pkt.get_str p f)
-          else err pos "unknown packet field %s" f
+      | Value.Pkt p -> (
+          match Value.pkt_field p f with
+          | Some v -> v
+          | None -> err pos "unknown packet field %s" f)
       | v -> err pos "field access on %s" (Value.type_name v))
   | Nfl.Ast.Mem (k, d) -> (
       let vk = eval st pos k in

@@ -92,10 +92,6 @@ val tru : t
 val fls : t
 val int : int -> t
 
-val key_relation : t -> t -> [ `Equal | `Distinct | `Unknown ]
-(** Syntactic decidability of key equality (used to resolve reads
-    through dictionary write lists). *)
-
 val mk_not : t -> t
 val mk_neg : t -> t
 val mk_bin : Nfl.Ast.binop -> t -> t -> t
@@ -134,13 +130,9 @@ val syms : t -> Sset.t
 val subst : (string -> Value.t option) -> t -> t
 (** Substitute named symbols by values and re-simplify. *)
 
-val subst_dict : (string -> Value.t option) -> dict_state -> dict_state
-
 val subst_sym : (string -> t option) -> t -> t
 (** Substitute named symbols by expressions and re-simplify (used to
     thread packet field expressions through downstream predicates). *)
-
-val subst_sym_dict : (string -> t option) -> dict_state -> dict_state
 
 (** {1 Intern table} *)
 

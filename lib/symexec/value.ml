@@ -37,8 +37,16 @@ let rec pp ppf = function
 
 let to_string v = Fmt.str "%a" pp v
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = Stdlib.compare a b = 0
+(* [Int]/[Int] (and, for [equal], [Str]/[Str]) skip the polymorphic
+   compare; the results and the order are exactly [Stdlib.compare]'s. *)
+let compare (a : t) (b : t) =
+  match (a, b) with Int x, Int y -> Int.compare x y | _ -> Stdlib.compare a b
+
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Str x, Str y -> String.equal x y
+  | _ -> Stdlib.compare a b = 0
 
 let as_int = function Int n -> n | v -> raise (Type_error ("expected int, got " ^ type_name v))
 let as_bool = function
@@ -47,6 +55,20 @@ let as_bool = function
   | v -> raise (Type_error ("expected bool, got " ^ type_name v))
 
 let as_pkt = function Pkt p -> p | v -> raise (Type_error ("expected packet, got " ^ type_name v))
+
+let pkt_field (p : Packet.Pkt.t) = function
+  | "ip_src" -> Some (Int p.ip_src)
+  | "ip_dst" -> Some (Int p.ip_dst)
+  | "ip_proto" -> Some (Int p.ip_proto)
+  | "ip_ttl" -> Some (Int p.ip_ttl)
+  | "ip_len" -> Some (Int p.ip_len)
+  | "sport" -> Some (Int p.sport)
+  | "dport" -> Some (Int p.dport)
+  | "tcp_flags" -> Some (Int p.tcp_flags)
+  | "seq" -> Some (Int p.seq)
+  | "ack" -> Some (Int p.ack)
+  | "payload" -> Some (Str p.payload)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Dictionaries                                                       *)
@@ -134,9 +156,13 @@ let hash_value v =
     s;
   !h land 0x3FFFFFFF
 
+(* Compared in place at each offset, without copying. *)
 let str_contains ~sub s =
   let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  let rec occurs_at i j =
+    j = n || (String.unsafe_get s (i + j) = String.unsafe_get sub j && occurs_at i (j + 1))
+  in
+  let rec go i = i + n <= m && (occurs_at i 0 || go (i + 1)) in
   n = 0 || go 0
 
 (** Apply a pure builtin from {!Nfl.Builtins.pure}. *)
@@ -152,8 +178,7 @@ let apply_pure name args =
   | "abs", [ Int a ] -> Int (abs a)
   | "tuple_get", [ Tuple vs; Int i ] when i >= 0 && i < List.length vs -> List.nth vs i
   | "str_contains", [ Str s; Str sub ] -> Bool (str_contains ~sub s)
-  | "str_prefix", [ Str s; Str p ] ->
-      Bool (String.length p <= String.length s && String.sub s 0 (String.length p) = p)
+  | "str_prefix", [ Str s; Str p ] -> Bool (String.starts_with ~prefix:p s)
   | _ ->
       raise
         (Type_error

@@ -31,6 +31,11 @@ val as_bool : t -> bool
 val as_pkt : t -> Packet.Pkt.t
 (** @raise Type_error when not a [Pkt]. *)
 
+val pkt_field : Packet.Pkt.t -> string -> t option
+(** The value of a packet field by name ([pkt.<field>] in NFL), read
+    through one match on the name; [None] when it is not a field of
+    {!Packet.Headers}. *)
+
 (** {1 Dictionaries} *)
 
 val dict_empty : t

@@ -154,6 +154,53 @@ let test_bound_int_pp () =
   Alcotest.(check string) "exact" "42" (Fmt.str "%a" Report.pp_bound_int (Report.Exact 42));
   Alcotest.(check string) "more" ">1000" (Fmt.str "%a" Report.pp_bound_int (Report.More_than 1000))
 
+(* --------------------------------------------------------------- *)
+(* Model_interp symbol reads                                         *)
+(* --------------------------------------------------------------- *)
+
+(* Under a non-default packet variable (["in"], as the verifier's
+   symbolic classes use), only names strictly under ["in."] read the
+   packet: a store variable sharing the prefix's leading letters, the
+   bare prefix and another packet variable's names read the store. An
+   unknown field under the prefix is unresolved, so a literal over it
+   is false whatever its polarity. *)
+let test_interp_reads_under_pkt_var () =
+  let pkt =
+    Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3) ~sport:1234
+      ~dport:80 ~seq:5 ~payload:"GET /" ()
+  in
+  let store =
+    Model_interp.Smap.(
+      empty
+      |> add "inbound" (Value.Int 7)
+      |> add "in" (Value.Int 9)
+      |> add "in." (Value.Int 3)
+      |> add "pkt.dport" (Value.Int 443))
+  in
+  let v = Alcotest.testable Value.pp Value.equal in
+  let ev name = Model_interp.eval ~pkt_var:"in" store pkt (Sexpr.sym name) in
+  List.iter
+    (fun f -> Alcotest.check v ("in." ^ f) (Value.Int (Packet.Pkt.get_int pkt f)) (ev ("in." ^ f)))
+    Packet.Headers.int_fields;
+  Alcotest.check v "in.payload" (Value.Str "GET /") (ev "in.payload");
+  Alcotest.check v "inbound reads the store" (Value.Int 7) (ev "inbound");
+  Alcotest.check v "in reads the store" (Value.Int 9) (ev "in");
+  Alcotest.check v "the bare prefix reads the store" (Value.Int 3) (ev "in.");
+  Alcotest.check v "pkt.dport reads the store" (Value.Int 443) (ev "pkt.dport");
+  Alcotest.check v "default pkt_var reads the packet" (Value.Int 80)
+    (Model_interp.eval store pkt (Sexpr.sym "pkt.dport"));
+  Alcotest.check_raises "unknown field" (Model_interp.Unresolved "in.bogus") (fun () ->
+      ignore (ev "in.bogus"));
+  let holds name n positive =
+    Model_interp.literal_holds ~pkt_var:"in" store pkt
+      (Solver.lit (Sexpr.mk_bin Nfl.Ast.Eq (Sexpr.sym name) (Sexpr.int n)) positive)
+  in
+  Alcotest.(check bool) "in.dport = 80" true (holds "in.dport" 80 true);
+  Alcotest.(check bool) "not (in.dport = 80)" false (holds "in.dport" 80 false);
+  Alcotest.(check bool) "inbound = 7" true (holds "inbound" 7 true);
+  Alcotest.(check bool) "in.bogus = 1" false (holds "in.bogus" 1 true);
+  Alcotest.(check bool) "not (in.bogus = 1)" false (holds "in.bogus" 1 false)
+
 let suite =
   [
     Alcotest.test_case "config groups partition" `Quick test_config_groups_partition_entries;
@@ -170,4 +217,6 @@ let suite =
     Alcotest.test_case "check: arity" `Quick test_check_arity;
     Alcotest.test_case "report: measure sanity" `Quick test_report_measure_sanity;
     Alcotest.test_case "report: bound pp" `Quick test_bound_int_pp;
+    Alcotest.test_case "interp: reads under a non-default pkt_var" `Quick
+      test_interp_reads_under_pkt_var;
   ]

@@ -52,6 +52,16 @@ let test_pp () =
   Alcotest.(check bool) "mentions SYN" true (contains ~sub:"SYN" s);
   Alcotest.(check bool) "mentions dport" true (contains ~sub:":80" s)
 
+(* The field predicates are matches; they must answer as membership
+   in the published field lists does, on fields and non-fields. *)
+let test_field_predicates () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("is_int_field " ^ f) (List.mem f Headers.int_fields) (Headers.is_int_field f);
+      Alcotest.(check bool) ("is_str_field " ^ f) (List.mem f Headers.str_fields) (Headers.is_str_field f))
+    (Headers.int_fields @ Headers.str_fields
+    @ [ ""; "ip_src2"; "pkt"; "ip_sr"; "IP_SRC"; "payload "; "pkt.dport"; "in.payload" ])
+
 let suite =
   [
     Alcotest.test_case "get int fields" `Quick test_get_int;
@@ -60,4 +70,5 @@ let suite =
     Alcotest.test_case "bad fields raise" `Quick test_bad_field;
     Alcotest.test_case "all int fields roundtrip" `Quick test_all_int_fields_roundtrip;
     Alcotest.test_case "pretty-printing" `Quick test_pp;
+    Alcotest.test_case "field predicates match the field lists" `Quick test_field_predicates;
   ]

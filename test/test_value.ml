@@ -97,6 +97,96 @@ let qcheck_dict_set_get =
       let d = Value.dict_set [] (Value.Int k) (Value.Int x) in
       Value.dict_get d (Value.Int k) = Some (Value.Int x))
 
+(* A seeded value generator over a small domain, so equal pairs are
+   common: ints at the extremes and around zero, short strings over a
+   two-letter alphabet, nested tuples and lists, dicts, packets and
+   mixed constructors. *)
+let gen_value rng =
+  let module R = Packet.Rng in
+  let gen_int () =
+    match R.int rng 6 with
+    | 0 -> R.pick rng [ min_int; max_int; min_int + 1; max_int - 1 ]
+    | 1 -> -R.int rng 4
+    | 2 -> -R.int rng max_int
+    | 3 -> R.int rng max_int
+    | _ -> R.int rng 4
+  in
+  let gen_str () = String.init (R.int rng 4) (fun _ -> R.pick rng [ 'a'; 'b' ]) in
+  let rec gen depth =
+    match R.int rng (if depth = 0 then 4 else 8) with
+    | 0 | 1 -> Value.Int (gen_int ())
+    | 2 -> Value.Str (gen_str ())
+    | 3 -> Value.Bool (R.bool rng)
+    | 4 -> Value.Tuple (List.init (R.int rng 3) (fun _ -> gen (depth - 1)))
+    | 5 -> Value.List (List.init (R.int rng 3) (fun _ -> gen (depth - 1)))
+    | 6 ->
+        Value.Dict
+          (List.init (R.int rng 3) (fun _ -> (gen (depth - 1), gen (depth - 1)))
+          |> List.sort_uniq (fun (a, _) (b, _) -> Stdlib.compare a b))
+    | _ ->
+        let a = Packet.Addr.ip 10 0 0 (R.int rng 2) in
+        Value.Pkt (Packet.Pkt.make ~ip_src:a ~ip_dst:a ~sport:(R.int rng 2) ~dport:80 ())
+  in
+  gen 2
+
+(* [Value.equal]/[Value.compare] take fast paths for ints and strings;
+   they must agree with the polymorphic compare they replace, sign and
+   magnitude alike, on every pair. *)
+let test_compare_matches_stdlib () =
+  let rng = Packet.Rng.create 29 in
+  for _ = 1 to 20_000 do
+    let a = gen_value rng in
+    let b = if Packet.Rng.int rng 4 = 0 then a else gen_value rng in
+    let expected = Stdlib.compare a b in
+    if Value.compare a b <> expected || Value.equal a b <> (expected = 0) then
+      Alcotest.failf "%s vs %s: compare %d equal %b, Stdlib.compare %d" (Value.to_string a)
+        (Value.to_string b) (Value.compare a b) (Value.equal a b) expected
+  done;
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check int) "extreme ints" (Stdlib.compare a b) (Value.compare (Value.Int a) (Value.Int b)))
+    [ (min_int, max_int); (max_int, min_int); (min_int, min_int); (-1, 0); (0, -1) ]
+
+(* The definitions the in-place [str_contains]/[str_prefix] replaced. *)
+let ref_contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
+let ref_prefix s p = String.length p <= String.length s && String.sub s 0 (String.length p) = p
+
+let test_str_builtins_match_reference () =
+  let rng = Packet.Rng.create 7 in
+  let gen max_len =
+    String.init (Packet.Rng.int rng (max_len + 1)) (fun _ -> Packet.Rng.pick rng [ 'a'; 'b'; 'c' ])
+  in
+  let cases = [ ("", ""); ("", "a"); ("a", ""); ("ab", "abc"); ("abc", "abc"); ("xabc", "bc") ] in
+  let cases = cases @ List.init 5_000 (fun _ -> (gen 8, gen 4)) in
+  List.iter
+    (fun (s, sub) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "str_contains %S %S" s sub)
+        (ref_contains ~sub s) (Value.str_contains ~sub s);
+      Alcotest.check v
+        (Printf.sprintf "str_prefix %S %S" s sub)
+        (Value.Bool (ref_prefix s sub))
+        (Value.apply_pure "str_prefix" [ Value.Str s; Value.Str sub ]))
+    cases
+
+let test_pkt_field () =
+  let p =
+    Packet.Pkt.make ~ip_src:(Packet.Addr.ip 10 0 0 1) ~ip_dst:(Packet.Addr.ip 3 3 3 3) ~ip_ttl:9
+      ~ip_len:77 ~tcp_flags:Packet.Headers.syn ~seq:5 ~ack:6 ~payload:"GET /" ~sport:1234 ~dport:80 ()
+  in
+  let field = Alcotest.(option v) in
+  List.iter
+    (fun f -> Alcotest.check field f (Some (Value.Int (Packet.Pkt.get_int p f))) (Value.pkt_field p f))
+    Packet.Headers.int_fields;
+  Alcotest.check field "payload" (Some (Value.Str "GET /")) (Value.pkt_field p "payload");
+  List.iter
+    (fun f -> Alcotest.check field (Printf.sprintf "%S" f) None (Value.pkt_field p f))
+    [ ""; "ip_src2"; "pkt"; "pkt.dport" ]
+
 let suite =
   [
     Alcotest.test_case "arith binops" `Quick test_binop_arith;
@@ -109,6 +199,10 @@ let suite =
     Alcotest.test_case "membership" `Quick test_mem;
     Alcotest.test_case "pure builtins" `Quick test_pure_builtins;
     Alcotest.test_case "hash deterministic" `Quick test_hash_deterministic;
+    Alcotest.test_case "equal/compare match Stdlib.compare" `Quick test_compare_matches_stdlib;
+    Alcotest.test_case "str_contains/str_prefix match reference" `Quick
+      test_str_builtins_match_reference;
+    Alcotest.test_case "packet fields by name" `Quick test_pkt_field;
     QCheck_alcotest.to_alcotest qcheck_hash_spread;
     QCheck_alcotest.to_alcotest qcheck_dict_set_get;
   ]
